@@ -12,7 +12,10 @@ Checks the conventions the compilers cannot:
                   functions, FM_COLD_PATH boundaries, assert_*-named
                   capability claims, or allowlisted builtins. Everything
                   reachable from the hot seeds (push / extract /
-                  encode_frame_into) must therefore carry a marker.
+                  encode_frame_into) must therefore carry a marker. Calls
+                  through the CRTP accessor (`self().hook(`) count as
+                  edges, so a protocol engine's transport hooks stay in
+                  the closure.
   no-assert       `assert()` is banned in src/: it vanishes under NDEBUG,
                   so an invariant guarded by it is only an invariant in
                   debug builds. Use FM_CHECK / FM_CHECK_MSG.
@@ -413,12 +416,20 @@ CPP_KEYWORDS = {
 }
 
 # The function name is the identifier owning the first '(' of a signature
-# statement, with any Class:: qualifier chain captured alongside it.
+# statement, with any Class:: qualifier chain captured alongside it. A
+# qualifier may carry template arguments (`Engine<Transport>::send`, an
+# out-of-class template member definition); they are dropped from the name.
 SIG_NAME_RE = re.compile(
-    r"((?:[A-Za-z_][A-Za-z0-9_]*::)*)(~?[A-Za-z_][A-Za-z0-9_]*)\s*\(")
+    r"((?:[A-Za-z_][A-Za-z0-9_]*(?:\s*<[^<>();{}]*>)?\s*::)*)"
+    r"(~?[A-Za-z_][A-Za-z0-9_]*)\s*\(")
+TEMPLATE_ARGS_RE = re.compile(r"\s*<[^<>]*>\s*")
 CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?:FM_CAPABILITY\S*\s+)?"
                       r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:final\s*)?(?::|$)")
 CALL_RE = re.compile(r"(?<![A-Za-z0-9_:.>])([a-z_][A-Za-z0-9_]*)\s*\(")
+# A member call through the CRTP accessor: the engine's edge into its
+# transport's hooks (`self().push(`).
+SELF_CALL_RE = re.compile(
+    r"\bself\s*\(\s*\)\s*(?:\.|->)\s*([a-z_][A-Za-z0-9_]*)\s*\(")
 
 
 @dataclass
@@ -456,7 +467,7 @@ def scan_functions(sf: SourceFile) -> list[FuncInfo]:
         sm = SIG_NAME_RE.search(text)
         if not sm or sm.group(2) in CPP_KEYWORDS:
             return None
-        qual_prefix = sm.group(1).rstrip(":")
+        qual_prefix = TEMPLATE_ARGS_RE.sub("", sm.group(1)).rstrip(":")
         name = sm.group(2)
         if qual_prefix:
             qual = f"{qual_prefix.split('::')[-1]}::{name}"
@@ -571,8 +582,9 @@ def check_hot_bodies(sf: SourceFile, hot: set[str], cold: set[str],
                         sf.path, idx, "hotpath-alloc",
                         f"{label} inside FM_HOT_PATH function "
                         f"'{fn.qual}'"))
-            for m in CALL_RE.finditer(code):
-                callee = m.group(1)
+            callees = [m.group(1) for m in CALL_RE.finditer(code)]
+            callees += [m.group(1) for m in SELF_CALL_RE.finditer(code)]
+            for callee in callees:
                 if callee in CPP_KEYWORDS or \
                         callee == fn.qual.split("::")[-1] or \
                         callee in hot_bare or callee in cold_bare:
@@ -582,9 +594,10 @@ def check_hot_bodies(sf: SourceFile, hot: set[str], cold: set[str],
                         callee.startswith("check_failed"):
                     continue
                 # Flag only names defined somewhere in this corpus (keeps
-                # std:: and the C library quiet). Unqualified calls only:
-                # the textual engine does not resolve obj.method() —
-                # method growth verbs are caught by the token patterns.
+                # std:: and the C library quiet). Unqualified and self()
+                # calls only: the textual engine does not resolve other
+                # obj.method() calls — method growth verbs are caught by
+                # the token patterns.
                 if callee in unmarked_bare:
                     if sf.allowed("hotpath-call", idx):
                         continue

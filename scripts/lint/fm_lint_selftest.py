@@ -67,6 +67,17 @@ def main() -> int:
     expect("hotpath-call" in out and "cold_metrics_flush" in out,
            "flags unmarked callee from the batch path", out, failures)
 
+    print("fixture: engine_hook_bad.h")
+    rc, out = run_lint(os.path.join(FIXTURES, "engine_hook_bad.h"))
+    expect(rc != 0, "exits nonzero", out, failures)
+    expect("hotpath-call" in out and "'stage_frame'" in out and
+           "FixtureEngine::send" in out,
+           "flags the unmarked hook reached through self() from a "
+           "template-qualified engine member", out, failures)
+    expect(out.count("hotpath-call") == 1,
+           "marked and cold hooks reached through self() pass",
+           out, failures)
+
     print("fixture: assert_bad.cc")
     rc, out = run_lint(os.path.join(FIXTURES, "assert_bad.cc"))
     expect(rc != 0 and "no-assert" in out, "flags raw assert()",

@@ -466,12 +466,23 @@ class DedupFilter {
 /// which source, to be drained by piggybacking or standalone ack frames.
 class AckTracker {
  public:
+  /// `per_peer_reserve` is the ack-buffer capacity claimed at first contact
+  /// with a peer. Endpoints pass their pending window — the most fresh
+  /// acks one peer's window can leave owed — so a burst that owes more
+  /// acks than any earlier pass still reuses warm capacity.
+  explicit AckTracker(std::size_t per_peer_reserve = 0)
+      : per_peer_reserve_(per_peer_reserve) {}
+
   /// Notes that `seq` from `src` was accepted and must be acknowledged.
   FM_HOT_PATH void note(NodeId src, std::uint32_t seq) {
+    std::vector<std::uint32_t>& due = due_[src];
     // fm-lint: allow(hotpath-alloc): the per-peer buffer and its map node
-    // survive emptying (see take_into), so the steady state reuses warm
-    // capacity; only first contact with a peer allocates.
-    due_[src].push_back(seq);
+    // survive emptying (see take_into), so only first contact with a peer
+    // allocates.
+    if (due.capacity() == 0) due.reserve(per_peer_reserve_);
+    // fm-lint: allow(hotpath-alloc): within the capacity reserved above,
+    // unless duplicates pile up, which is already the recovery path.
+    due.push_back(seq);
   }
 
   /// Acks currently owed to `src`.
@@ -550,6 +561,7 @@ class AckTracker {
   }
 
  private:
+  std::size_t per_peer_reserve_;
   std::unordered_map<NodeId, std::vector<std::uint32_t>> due_;
 };
 

@@ -1,10 +1,10 @@
 // FM-Scope structured trace sink: a preallocated flight recorder of
 // fixed-size POD records, cheap enough for the shm hot path.
 //
-// The sim-only Trace (sim/trace.h) paid two heap std::strings per record
-// and silently truncated details — fine for a coroutine simulator, fatal
-// for a transport whose steady state is proven allocation-free
-// (tests/shm/shm_alloc_test.cc). This ring fixes both:
+// A tracer that pays heap strings per record and silently truncates
+// details is fine for a coroutine simulator but fatal for a transport
+// whose steady state is proven allocation-free
+// (tests/shm/shm_alloc_test.cc). This ring avoids both:
 //
 //   * Categories are interned once at setup time; the hot path stores a
 //     16-bit id.

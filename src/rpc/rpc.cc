@@ -177,9 +177,7 @@ void Future::cancel() {
 }
 
 std::vector<std::uint8_t>& Future::wait() {
-  while (!ready()) {
-    if (engine_->ep_.extract() == 0) std::this_thread::yield();
-  }
+  engine_->ep_.extract_until([this] { return ready(); });
   RpcEngine::PendingCall* pc = engine_->find(call_id_);
   FM_CHECK_MSG(pc->status == Status::kOk,
                "rpc call failed; use wait_result() for fallible calls");
@@ -187,9 +185,7 @@ std::vector<std::uint8_t>& Future::wait() {
 }
 
 Status Future::wait_result(std::vector<std::uint8_t>& out) {
-  while (!ready()) {
-    if (engine_->ep_.extract() == 0) std::this_thread::yield();
-  }
+  engine_->ep_.extract_until([this] { return ready(); });
   auto it = engine_->pending_.find(call_id_);
   const Status st = it->second.status;
   if (st == Status::kOk) out = std::move(it->second.reply);
