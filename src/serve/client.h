@@ -37,6 +37,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/annotate.h"
@@ -201,8 +202,10 @@ class Client {
   }
 
   /// Services the client once: delivers responses (firing completions),
-  /// then runs the amortized deadline/liveness sweep. Returns the number
-  /// of FM messages extracted.
+  /// then runs the amortized deadline/liveness sweep. A pass that found
+  /// nothing then gives up the core (one yield, never a park: parking
+  /// would stall the sweep), so a shard sharing it can produce the
+  /// responses. Returns the number of FM messages extracted.
   FM_HOT_PATH std::size_t poll() {
     const std::size_t n = ep_.extract();
     const std::uint64_t t = now_ns();
@@ -210,6 +213,7 @@ class Client {
       last_sweep_ = t;
       sweep(t);
     }
+    if (n == 0) std::this_thread::yield();
     return n;
   }
 

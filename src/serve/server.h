@@ -39,6 +39,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/annotate.h"
@@ -147,7 +148,15 @@ class Server {
   }
 
   /// Services the shard once: one extract() pass (requests execute inside).
-  FM_HOT_PATH std::size_t poll() { return ep_.extract(); }
+  /// A pass that found nothing gives up the core (one yield, never a park),
+  /// so a client or another shard sharing it runs instead of waiting out
+  /// this thread's scheduler slice. Returns the number of FM messages
+  /// extracted.
+  FM_HOT_PATH std::size_t poll() {
+    const std::size_t n = ep_.extract();
+    if (n == 0) std::this_thread::yield();
+    return n;
+  }
 
   /// Enters the draining state: new requests are shed with a draining
   /// advisory (clients rebalance the session elsewhere); parked requests
