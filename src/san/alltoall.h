@@ -132,7 +132,7 @@ struct RankCtx {
   std::vector<double> death_detect_us;
   std::uint64_t stall_us = 0;
   std::uint32_t next_seq = 0;
-  std::uint64_t done_from = 0;
+  std::vector<bool> done_from;          // peer -> its done marker arrived
 };
 
 }  // namespace detail
@@ -161,6 +161,7 @@ SoakOutcome run_all_to_all(C& cluster, SoakParams<C> p) {
     ctx.scratch.resize(p.payload_bytes);
     ctx.death_seen.resize(n, false);
     ctx.death_detect_us.resize(n, 0);
+    ctx.done_from.resize(n, false);
   }
 
   // Echo service: flip the kind word, send the payload straight back.
@@ -209,15 +210,19 @@ SoakOutcome run_all_to_all(C& cluster, SoakParams<C> p) {
       });
   *echo_id = h_echo;
   HandlerId h_done = cluster.register_handler(
-      [ctxs](Endpoint& ep, NodeId, const void*, std::size_t) {
-        ++(*ctxs)[ep.id()].done_from;
+      [ctxs](Endpoint& ep, NodeId src, const void*, std::size_t) {
+        (*ctxs)[ep.id()].done_from[src] = true;
         ++(*ctxs)[ep.id()].c.done_markers_received;
       });
+  // Liveness probe for the completion wait: delivery (and its ack) is the
+  // whole point, so the handler does nothing.
+  HandlerId h_probe = cluster.register_handler(
+      [](Endpoint&, NodeId, const void*, std::size_t) {});
 
   SoakOutcome out;
   out.seed = p.seed;
   out.report = cluster.run([&cluster, ctxs, &p, &sched, h_req, h_done,
-                            n](Endpoint& ep) {
+                            h_probe, n](Endpoint& ep) {
     const NodeId me = ep.id();
     RankCtx& ctx = (*ctxs)[me];
     obs::Registry reg("san.node" + std::to_string(me));
@@ -307,7 +312,12 @@ SoakOutcome run_all_to_all(C& cluster, SoakParams<C> p) {
 
     // Completion: done markers over FM to every live peer, then stay
     // responsive until every live peer's marker arrived (peers that die
-    // late are discounted inside the predicate, not hung on).
+    // late are discounted inside the predicate, not hung on). A peer can
+    // ack our marker and die before sending its own (a survivor that ran
+    // its rounds ahead of a lagging victim); with nothing in flight to it,
+    // FM-R would never notice. So while a marker is missing, one probe per
+    // retransmit timeout goes to its sender: a dead one is declared within
+    // the detection horizon, a live one just acks it.
     cluster.note_phase(me, "done-markers");
     ep.drain();
     for (NodeId peer = 0; peer < static_cast<NodeId>(n); ++peer) {
@@ -316,12 +326,33 @@ SoakOutcome run_all_to_all(C& cluster, SoakParams<C> p) {
       FM_CHECK_MSG(st == Status::kPeerDead || ok(st),
                    "done marker send failed");
     }
+    const std::uint64_t t_wait = detail::san_now_ns();
+    std::uint64_t t_probe = t_wait;
     ep.extract_until([&] {
       ep.drain();
-      std::size_t dead = 0;
-      for (NodeId peer = 0; peer < static_cast<NodeId>(n); ++peer)
-        if (peer != me && ep.peer_dead(peer)) ++dead;
-      return ctx.done_from + dead >= n - 1;
+      const std::uint64_t now = detail::san_now_ns();
+      const bool probe = ep.config().reliability &&
+                         now - t_probe >= ep.config().retransmit_timeout_ns;
+      if (probe) t_probe = now;
+      bool waiting = false;
+      for (NodeId peer = 0; peer < static_cast<NodeId>(n); ++peer) {
+        if (peer == me || ctx.done_from[peer]) continue;
+        if (ep.peer_dead(peer)) {
+          if (!ctx.death_seen[peer]) {
+            ctx.death_seen[peer] = true;
+            ctx.death_detect_us[peer] =
+                static_cast<double>(now - t_wait) / 1000.0;
+          }
+          continue;
+        }
+        waiting = true;
+        if (probe) {
+          const Status st = ep.send4(peer, h_probe, 0, 0, 0, 0);
+          FM_CHECK_MSG(st == Status::kPeerDead || ok(st),
+                       "liveness probe send failed");
+        }
+      }
+      return !waiting;
     });
     ep.drain();
 

@@ -117,8 +117,7 @@ class StreamMgr {
   /// Blocks until a connection arrives on listening `port`.
   Connection& accept(std::uint16_t port);
 
-  /// Services the endpoint once. The blocking calls wait through the
-  /// endpoint's extract_until(), which yields the core on an empty pass.
+  /// Services the endpoint once (also called internally while blocking).
   void poll();
 
   shm::Endpoint& endpoint() { return ep_; }

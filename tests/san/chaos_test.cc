@@ -21,6 +21,15 @@ namespace {
 
 namespace scn = testing::scenarios;
 
+/// The link matrix as "src>dst=mean_us" entries, for failure messages.
+std::string describe_links(const std::vector<san::LinkSample>& links) {
+  std::string out;
+  for (const san::LinkSample& l : links)
+    out += " " + std::to_string(l.src) + ">" + std::to_string(l.dst) + "=" +
+           std::to_string(static_cast<long>(l.rtt_mean_us));
+  return out;
+}
+
 template <class B>
 class SanChaos : public ::testing::Test {};
 
@@ -78,6 +87,50 @@ TYPED_TEST(SanChaos, KillMidCollectiveIsDetectedBoundedAndConserved) {
   EXPECT_EQ(replay.soak.chaos, spec.soak.chaos);
 }
 
+// The victim lags through every round and dies at the start of the last
+// one. Survivors, whose requests it answers at each wake-up, finish their
+// rounds long before that and are waiting for its done marker after it
+// acked theirs: nothing of theirs is in flight to it when it dies, so only
+// the completion wait's liveness probe lets FM-R declare it dead.
+TYPED_TEST(SanChaos, VictimDyingAfterPeersFinishedIsDetected) {
+  auto spec = scn::kill_rank<TypeParam>();
+  ASSERT_EQ(spec.soak.chaos.events.size(), 1u);
+  san::ChaosEvent& kill = spec.soak.chaos.events[0];
+  kill.round = spec.soak.rounds - 1;
+  san::ChaosEvent lag;
+  lag.kind = san::ChaosKind::kSlowReceiver;
+  lag.victim = kill.victim;
+  lag.duration = kill.round;
+  lag.stall_us = 5000;
+  spec.soak.chaos.events.push_back(lag);
+  SCOPED_TRACE(san::describe(spec.soak.chaos));
+
+  const san::SoakOutcome out = scn::run_scenario(spec);
+  EXPECT_FALSE(out.report.timed_out)
+      << "survivors hung waiting for a dead peer's done marker";
+  for (const RankStatus& rs : out.report.ranks) {
+    if (rs.id == kill.victim) continue;
+    EXPECT_TRUE(rs.clean()) << "rank " << rs.id;
+  }
+  const obs::Conservation c = out.report.conservation();
+  EXPECT_TRUE(c.no_spontaneous_messages());
+  EXPECT_EQ(c.peers_dead, spec.nodes - 1);
+  EXPECT_EQ(out.report.sum_counter("payload_mismatches"), 0.0);
+
+  const double bound_us =
+      static_cast<double>(san::dead_peer_bound_ns(
+          spec.cfg.retransmit_timeout_ns, spec.cfg.max_retries)) /
+      1000.0;
+  std::size_t detections = 0;
+  for (const auto& [key, value] : out.report.metrics) {
+    if (key.find(".death_detect_us") == std::string::npos) continue;
+    ++detections;
+    EXPECT_LT(value, 20.0 * bound_us) << key;
+  }
+  EXPECT_EQ(detections, spec.nodes - 1)
+      << "some survivor never observed the death";
+}
+
 TYPED_TEST(SanChaos, SlowReceiverIsIsolatedByPerLinkAttribution) {
   const auto spec = scn::slow_receiver<TypeParam>();
   ASSERT_EQ(spec.soak.chaos.events.size(), 1u);
@@ -101,7 +154,7 @@ TYPED_TEST(SanChaos, SlowReceiverIsIsolatedByPerLinkAttribution) {
   EXPECT_TRUE(out.analysis.rank_is_slow(victim))
       << "victim " << victim << " not isolated; median rtt "
       << out.analysis.median_rtt_us << " us, " << out.analysis.slow_links.size()
-      << " slow link(s)";
+      << " slow link(s); mean rtt us:" << describe_links(out.links);
 }
 
 TYPED_TEST(SanChaos, PacketStormRecoversToExactlyOnce) {
