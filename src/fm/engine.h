@@ -52,8 +52,10 @@ namespace fm {
 ///       push drops on backpressure instead (only FM-R retains a copy).
 ///   poll_rx()
 ///       Drains a bounded burst of received frames, handing each to
-///       process_frame() followed by flush_deferred_tx(); returns how many
-///       frames came from known peers.
+///       process_frame(), and calls flush_deferred_tx() once the frames it
+///       processed in place are consumed (its pushes can nest extract(),
+///       which reuses the receive buffers); returns how many frames came
+///       from known peers.
 ///   flush_tx() / tx_idle()
 ///       Sends anything the transport staged / says nothing is staged.
 ///   idle_pause()

@@ -100,6 +100,26 @@ constexpr std::size_t max_wire_bytes(std::size_t frame_payload) {
          4u * 255u + FrameHeader::kCrcBytes;
 }
 
+/// Splits packed frames: the wire length of the frame at the front of the
+/// `left` bytes at `data`, read from its self-describing header. A datagram
+/// may carry several whole frames back to back; the receiver walks it with
+/// this until nothing is left. A header that is short, or that claims more
+/// bytes than remain, makes the whole remainder one frame (which
+/// decode_header then rejects as malformed), so the walk never reads past
+/// the buffer. Returns 0 only when `left` is 0. The type byte is not
+/// checked here: a frame whose length fits is split off and judged by
+/// decode_header like any other.
+FM_HOT_PATH inline std::size_t next_frame_len(const std::uint8_t* data,
+                                              std::size_t left) {
+  if (left < FrameHeader::kBaseBytes) return left;
+  FrameHeader h;
+  h.ack_count = data[1];
+  std::memcpy(&h.payload_len, data + 12, sizeof h.payload_len);
+  std::memcpy(&h.flags, data + 14, sizeof h.flags);
+  const std::size_t len = h.wire_bytes();
+  return len <= left ? len : left;
+}
+
 /// Serializes a frame directly into `out`, which must hold at least
 /// `header.wire_bytes()` bytes (the return value). This is the hot-path
 /// encoder: the shm transport points it at a send-window slab slot or a

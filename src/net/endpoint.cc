@@ -46,9 +46,11 @@ Endpoint::Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
     if (tx_cap_ > UdpSocket::kMaxBatch) tx_cap_ = UdpSocket::kMaxBatch;
     tx_stage_.resize(tx_cap_ * tx_wire_max_);
     tx_ring_.resize(tx_cap_);
+    tx_slot_frames_.resize(tx_cap_);
     // RX slab: with GRO each buffer must hold a worst-case train (64
     // coalesced segments, capped by the 64 KiB datagram ceiling), so take
-    // fewer, bigger slots; without it one buffer is one frame.
+    // fewer, bigger slots; without it one buffer is one datagram, which
+    // packing keeps within one staging slot's tx_wire_max_ bytes.
     if (gso_on_) {
       rx_stride_ = std::min<std::size_t>(65535,
                                          tx_wire_max_ * UdpSocket::kMaxBatch);
@@ -128,6 +130,23 @@ void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
     // Batched mode: stage a copy and let the next flush point carry it out
     // with the rest of the burst (extract() entry/exit, a full ring, or
     // idle_pause — a frame is never parked on across a poll()).
+    const sockaddr_in* addr = &cluster_.addr(dest);
+    if (tx_staged_ > 0 && !gso_on_) {
+      // Packing: a frame for the same peer as the last staged one joins
+      // its datagram while the two still fit one slot, so the kernel's
+      // per-datagram cost is paid once for both. The receiver splits them
+      // by their header lengths. GSO trains need one frame per segment, so
+      // a GSO endpoint never packs.
+      const std::size_t last = (tx_head_ + tx_staged_ - 1) % tx_cap_;
+      UdpSocket::TxFrame& slot = tx_ring_[last];
+      if (slot.addr == addr && slot.len + len <= tx_wire_max_) {
+        std::memcpy(tx_stage_.data() + last * tx_wire_max_ + slot.len, frame,
+                    len);
+        slot.len += static_cast<std::uint32_t>(len);
+        ++tx_slot_frames_[last];
+        return;
+      }
+    }
     while (tx_staged_ == tx_cap_) {
       flush_tx_batch();
       if (tx_staged_ < tx_cap_) break;
@@ -145,8 +164,9 @@ void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
     const std::size_t idx = (tx_head_ + tx_staged_) % tx_cap_;
     std::uint8_t* slot = tx_stage_.data() + idx * tx_wire_max_;
     std::memcpy(slot, frame, len);
-    tx_ring_[idx] = UdpSocket::TxFrame{slot, static_cast<std::uint32_t>(len),
-                                       &cluster_.addr(dest)};
+    tx_ring_[idx] =
+        UdpSocket::TxFrame{slot, static_cast<std::uint32_t>(len), addr};
+    tx_slot_frames_[idx] = 1;
     ++tx_staged_;
     if (tx_staged_ == tx_cap_) flush_tx_batch();
     return;
@@ -234,8 +254,11 @@ void Endpoint::flush_tx_batch() {
       if (gso_on_) span = 1;
       const UdpSocket::BatchResult r =
           sock_.send_batch(&tx_ring_[tx_head_], span);
+      // A refused datagram is always the last one consumed, so the sent
+      // ones are the prefix; batch_tx_frames counts the FM frames in them.
+      for (std::size_t i = 0; i < r.sent; ++i)
+        batch_tx_frames_ += tx_slot_frames_[tx_head_ + i];
       datagrams_tx_ += r.sent;
-      batch_tx_frames_ += r.sent;
       send_errors_ += r.errors;
       batch_syscalls_ += r.syscalls;
       tx_head_ = (tx_head_ + r.consumed) % tx_cap_;
@@ -261,15 +284,18 @@ void Endpoint::flush_tx_batch() {
 
 std::size_t Endpoint::poll_rx() {
   std::size_t count = 0;
-  // Bounded drain of the socket: one datagram is one frame, processed in
-  // place in the preallocated receive buffer. The budget keeps a peer
-  // blasting datagrams at us from starving the post-RX retransmission and
-  // ack work (the same discipline as the shm ring budget).
+  // Bounded drain of the socket, processed in place in preallocated receive
+  // buffers. The budget counts wire datagrams, so a peer blasting datagrams
+  // at us cannot starve the post-RX retransmission and ack work (the same
+  // discipline as the shm ring budget); the frames packed in a datagram
+  // ride free. The transmissions processing provokes go out only once the
+  // buffers are consumed: a push blocked on backpressure nests extract(),
+  // whose receive would overwrite the buffers mid-walk.
+  std::size_t seen = 0;
   if (tx_batch_on_) {
     // Batched drain: one recvmmsg fills the slab with up to rx_slots_
     // buffers (each possibly a GRO train), amortizing the kernel crossing
     // over the burst.
-    std::size_t seen = 0;
     while (seen < extract_budget_) {
       const std::size_t want = std::min(rx_slots_, extract_budget_ - seen);
       const std::size_t m =
@@ -279,23 +305,17 @@ std::size_t Endpoint::poll_rx() {
       for (std::size_t i = 0; i < m; ++i)
         process_rx_buffer(rx_msgs_[i], rx_slab_.data() + i * rx_stride_,
                           &seen, &count);
+      flush_deferred_tx();
       if (m < want) break;  // queue ran dry mid-burst
     }
   } else {
-    for (std::size_t i = 0; i < extract_budget_; ++i) {
-      std::uint16_t src_port = 0;
-      const long n = sock_.recv_one(rx_buf_.data(), rx_buf_.size(), &src_port);
+    while (seen < extract_budget_) {
+      UdpSocket::RxMsg m{};
+      const long n =
+          sock_.recv_one(rx_buf_.data(), rx_buf_.size(), &m.src_port);
       if (n < 0) break;
-      ++datagrams_rx_;
-      NodeId from = kInvalidNode;
-      if (!cluster_.node_for_port(src_port, &from)) {
-        // Real networks deliver strays (a late datagram from a previous
-        // run, a port scan): count and drop, never crash.
-        ++stray_datagrams_;
-        continue;
-      }
-      ++count;
-      process_frame(from, rx_buf_.data(), static_cast<std::size_t>(n));
+      m.len = static_cast<std::uint32_t>(n);
+      process_rx_buffer(m, rx_buf_.data(), &seen, &count);
       flush_deferred_tx();
     }
   }
@@ -308,35 +328,32 @@ void Endpoint::process_rx_buffer(const UdpSocket::RxMsg& m,
                                  std::size_t* count) {
   NodeId from = kInvalidNode;
   const bool known = cluster_.node_for_port(m.src_port, &from);
-  if (m.len == 0) {
-    // An empty datagram carries no frame (the GRO split below would make
-    // no progress on it): a known peer's goes through process_frame, which
-    // counts it malformed.
-    ++*seen;
-    ++datagrams_rx_;
-    if (known)
-      process_frame(from, base, 0);
-    else
-      ++stray_datagrams_;
-    return;
-  }
   // A GRO buffer is a train: every gro_seg_len bytes is one original wire
   // datagram (the last may be shorter). A plain datagram is a train of one.
   const std::size_t seg = m.gro_seg_len != 0 ? m.gro_seg_len : m.len;
-  for (std::size_t off = 0; off < m.len; off += seg) {
-    const std::size_t flen = std::min<std::size_t>(seg, m.len - off);
+  std::size_t off = 0;
+  do {
+    const std::size_t dlen = std::min<std::size_t>(seg, m.len - off);
     ++*seen;
     ++datagrams_rx_;
     if (!known) {
       // Real networks deliver strays (a late datagram from a previous run,
       // a port scan): count and drop, never crash.
       ++stray_datagrams_;
-      continue;
+    } else {
+      // A datagram carries whole frames back to back; next_frame_len
+      // splits them. An empty datagram is one empty frame, which
+      // process_frame counts malformed like any other wire garbage.
+      std::size_t at = 0;
+      do {
+        const std::size_t flen = next_frame_len(base + off + at, dlen - at);
+        ++*count;
+        process_frame(from, base + off + at, flen);
+        at += flen;
+      } while (at < dlen);
     }
-    ++*count;
-    process_frame(from, base + off, flen);
-    flush_deferred_tx();
-  }
+    off += dlen;
+  } while (off < m.len);
 }
 
 }  // namespace fm::net

@@ -5,10 +5,10 @@
 // endpoint runs the identical protocol (fm::ProtocolEngine, fm/engine.h)
 // between *separate OS processes* over the kernel's UDP/loopback path,
 // where drops, reorders, and duplicates are supplied by a genuinely
-// unreliable substrate instead of a fault injector: one datagram is one FM
-// frame (≈ one Myrinet packet), the socket receive buffer is the NIC
-// receive ring, and a kernel drop on a full buffer is a link fault
-// (docs/PROTOCOL.md §9 maps the layers).
+// unreliable substrate instead of a fault injector: one datagram carries
+// one or more whole FM frames (≈ one Myrinet packet each), the socket
+// receive buffer is the NIC receive ring, and a kernel drop on a full
+// buffer is a link fault (docs/PROTOCOL.md §9 maps the layers).
 //
 // Consequently FM-R is mandatory here — the constructor rejects a config
 // without `reliability` — and wire garbage is counted, never fatal. Frames
@@ -21,12 +21,17 @@
 // retries, retransmissions — into a preallocated staging ring and hands
 // the whole burst to sendmmsg(2) at the next flush point, while the
 // receive side drains the socket in recvmmsg(2) bursts into one slab.
-// That is the syscall analogue of the paper's PIO gather / receive
-// aggregation: the expensive boundary (kernel crossing ≈ host/NIC I/O
-// bus) is amortized over the burst, the per-frame path stays lean. Two
-// opt-in accelerators ride on top: UDP GSO/GRO (a run of equal-size
-// same-destination frames becomes ONE datagram train) and busy-poll
-// receive (spin-then-poll hybrid that cuts wakeup latency out of t0).
+// Consecutive frames for the same peer are packed into one datagram while
+// they fit a staging slot (max_wire_bytes(frame_payload)), so the kernel's
+// per-datagram work is paid once per pack; the receiver splits datagrams
+// back into frames by their header lengths (next_frame_len, fm/frame.h).
+// That is the analogue of the paper's PIO gather / receive aggregation:
+// the expensive boundaries (kernel crossing and per-datagram stack work ≈
+// host/NIC I/O bus) are amortized over the burst, the per-frame path
+// stays lean. Two opt-in accelerators ride on top: UDP GSO/GRO (a run of
+// equal-size same-destination frames becomes ONE datagram train; a GSO
+// endpoint does not pack) and busy-poll receive (spin-then-poll hybrid
+// that cuts wakeup latency out of t0).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +53,8 @@ class Cluster;
 /// One node of the UDP FM cluster.
 class Endpoint final : public ProtocolEngine<Endpoint> {
  public:
-  /// Socket-level counters (beneath the protocol's Stats).
+  /// Socket-level counters (beneath the protocol's Stats). Datagram
+  /// counters count wire datagrams, each carrying one or more frames.
   std::uint64_t datagrams_tx() const { return datagrams_tx_; }
   std::uint64_t datagrams_rx() const { return datagrams_rx_; }
   std::uint64_t ewouldblock_stalls() const { return ewouldblock_stalls_; }
@@ -59,10 +65,11 @@ class Endpoint final : public ProtocolEngine<Endpoint> {
   std::uint64_t kernel_drops() const { return kernel_drops_; }
 
   /// FM-Burst counters (all 0 when batching is off).
-  /// Frames that left through a batched TX path (sendmmsg or GSO train).
+  /// FM frames that left through a batched TX path (sendmmsg or GSO
+  /// train), counting every frame of a packed datagram.
   std::uint64_t batch_tx_frames() const { return batch_tx_frames_; }
   /// Kernel crossings the batched paths spent, TX and RX combined — the
-  /// amortization denominator for batch_tx_frames / datagrams_rx.
+  /// amortization denominator for batch_tx_frames and datagrams_rx.
   std::uint64_t batch_syscalls() const { return batch_syscalls_; }
   /// Frames that traveled inside a UDP_SEGMENT train.
   std::uint64_t gso_segments() const { return gso_segments_; }
@@ -95,6 +102,8 @@ class Endpoint final : public ProtocolEngine<Endpoint> {
   FM_HOT_PATH void push(NodeId dest, const std::uint8_t* frame,
                         std::size_t len, std::uint32_t window_seq,
                         bool nonblocking);
+  /// Drains up to extract_budget_ datagrams (recvmmsg bursts when batched,
+  /// recv_one otherwise); both feed process_rx_buffer, the one receive path.
   FM_HOT_PATH std::size_t poll_rx();
   FM_HOT_PATH void flush_tx() {
     if (tx_batch_on_) flush_tx_batch();
@@ -104,15 +113,17 @@ class Endpoint final : public ProtocolEngine<Endpoint> {
   /// and only when there is no work at all — a cold boundary by design.
   FM_COLD_PATH void idle_pause();
 
-  /// Sends every staged frame with as few syscalls as the kernel allows
+  /// Sends every staged datagram with as few syscalls as the kernel allows
   /// (GSO trains for equal-size same-destination runs, sendmmsg for the
   /// rest). Transient backpressure leaves the unsent tail staged, in
   /// order; a later flush point retries it.
   FM_HOT_PATH void flush_tx_batch();
-  /// One received buffer from the batched RX path: splits a GRO train into
-  /// its frames and feeds each through process_frame. `seen` counts wire
-  /// datagrams against the extract budget, `count` counts frames from
-  /// known peers (poll_rx()'s return value).
+  /// One received buffer from either RX path (recvmmsg or recv_one): splits
+  /// a GRO train into its datagrams and each datagram into its packed
+  /// frames, and feeds each frame through process_frame. `seen` counts
+  /// wire datagrams against the extract budget, `count` counts frames from
+  /// known peers (poll_rx()'s return value). The caller runs
+  /// flush_deferred_tx() only after the buffer is consumed.
   FM_HOT_PATH void process_rx_buffer(const UdpSocket::RxMsg& m,
                                      const std::uint8_t* base,
                                      std::size_t* seen, std::size_t* count);
@@ -140,14 +151,16 @@ class Endpoint final : public ProtocolEngine<Endpoint> {
   bool tx_batch_on_ = false;
   bool gso_on_ = false;
   long busy_poll_spin_us_ = 0;
-  // TX staging ring: slot i of tx_ring_ describes the frame copied into
-  // tx_stage_[i * tx_wire_max_ ..]; a circular [tx_head_, tx_head_ +
-  // tx_staged_) window is pending. Frames survive a partial flush in
-  // place — the unsent tail just stays staged.
+  // TX staging ring: slot i of tx_ring_ describes the datagram packed into
+  // tx_stage_[i * tx_wire_max_ ..], tx_slot_frames_[i] frames long; a
+  // circular [tx_head_, tx_head_ + tx_staged_) window is pending. Only the
+  // last staged slot takes more frames. Datagrams survive a partial flush
+  // in place — the unsent tail just stays staged.
   std::size_t tx_cap_ = 0;
   std::size_t tx_wire_max_ = 0;
   std::vector<std::uint8_t> tx_stage_;
   std::vector<UdpSocket::TxFrame> tx_ring_;
+  std::vector<std::uint32_t> tx_slot_frames_;
   std::size_t tx_head_ = 0;
   std::size_t tx_staged_ = 0;
   bool in_tx_flush_ = false;

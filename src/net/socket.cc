@@ -160,10 +160,11 @@ UdpSocket::BatchResult UdpSocket::send_batch(const TxFrame* frames,
       }
       // A hard per-datagram error (e.g. ECONNREFUSED bounced back from a
       // dead peer's port) poisons the FIRST frame of the burst: count it
-      // gone and move past it so the rest of the burst still flows.
+      // gone and end the call there, so the refused datagram is the last
+      // one consumed. The caller's next call carries the rest.
       r.consumed += 1;
       r.errors += 1;
-      continue;
+      return r;
     }
     r.consumed += static_cast<std::size_t>(sent);
     r.sent += static_cast<std::size_t>(sent);
@@ -185,10 +186,11 @@ UdpSocket::BatchResult UdpSocket::send_batch(const TxFrame* frames,
       return r;
     }
     ++r.consumed;
-    if (s == SendResult::kOk)
-      ++r.sent;
-    else
+    if (s != SendResult::kOk) {
       ++r.errors;
+      return r;
+    }
+    ++r.sent;
   }
 #endif
   return r;

@@ -1,16 +1,16 @@
 // A thin RAII wrapper over one nonblocking loopback UDP socket — the
-// net backend's "network interface". One datagram carries one FM frame
-// (the UDP analogue of one Myrinet packet; see docs/PROTOCOL.md §9), so
-// the socket API is deliberately datagram-shaped: send one frame to a
-// peer address, receive one frame with its source port, and surface the
-// kernel's own receive-queue overflow count (SO_RXQ_OVFL) — the real
-// "link fault" this backend is built to exercise.
+// net backend's "network interface". The socket API is datagram-shaped and
+// knows nothing of FM frames: send one datagram to a peer address, receive
+// one with its source port, and surface the kernel's own receive-queue
+// overflow count (SO_RXQ_OVFL) — the real "link fault" this backend is
+// built to exercise. A datagram carries one or more whole FM frames (the
+// endpoint packs and splits them; see docs/PROTOCOL.md §9).
 //
 // FM-Burst adds the batched shapes: send_batch/recv_batch amortize the
-// kernel crossing over up to kMaxBatch frames via sendmmsg(2)/recvmmsg(2)
-// (the syscall analogue of the paper's PIO gather / receive aggregation),
-// and send_gso collapses a run of equal-size same-destination frames into
-// ONE UDP_SEGMENT datagram train. All batch state (mmsghdr/iovec/cmsg
+// kernel crossing over up to kMaxBatch datagrams via sendmmsg(2)/
+// recvmmsg(2) (the syscall analogue of the paper's PIO gather / receive
+// aggregation), and send_gso collapses a run of equal-size same-destination
+// datagrams into ONE UDP_SEGMENT train. All batch state (mmsghdr/iovec/cmsg
 // slabs) is preallocated inline so the batched paths stay allocation-free.
 #pragma once
 
@@ -54,8 +54,8 @@ class RxqDropMeter {
 /// failure: a harness that cannot even open its NIC has nothing to test.
 class UdpSocket {
  public:
-  /// Capacity of the preallocated mmsghdr/iovec slabs: the most frames one
-  /// sendmmsg/recvmmsg call can carry. 64 matches UDP_MAX_SEGMENTS (the
+  /// Capacity of the preallocated mmsghdr/iovec slabs: the most datagrams
+  /// one sendmmsg/recvmmsg call can carry. 64 matches UDP_MAX_SEGMENTS (the
   /// kernel's cap on a GSO train) so one staging ring size serves both.
   static constexpr std::size_t kMaxBatch = 64;
 
@@ -83,7 +83,7 @@ class UdpSocket {
   SendResult send_to(const sockaddr_in& addr, const void* buf,
                      std::size_t len);
 
-  /// One frame of a TX burst. `addr` must outlive the send_batch call
+  /// One datagram of a TX burst. `addr` must outlive the send_batch call
   /// (in practice it points at the Cluster's stable per-node address
   /// table, so pointer equality also means "same destination").
   struct TxFrame {
@@ -92,12 +92,15 @@ class UdpSocket {
     const sockaddr_in* addr;
   };
 
-  /// Outcome of one send_batch call. Frames `[0, consumed)` are finished
-  /// with (either handed to the kernel or counted in `errors` — an errored
-  /// datagram is gone exactly like a dropped packet; FM-R's retransmit
-  /// timer owns recovery). Frames `[consumed, n)` remain owned by the
-  /// caller: they were NOT sent and must be retried later, which is what
-  /// `would_block` signals.
+  /// Outcome of one send_batch call. Datagrams `[0, consumed)` are
+  /// finished with (either handed to the kernel or counted in `errors` — an
+  /// errored datagram is gone exactly like a dropped packet; FM-R's
+  /// retransmit timer owns recovery). A hard error ends the call, so at
+  /// most one datagram errors and it is the last one consumed: `[0, sent)`
+  /// all reached the kernel. Datagrams `[consumed, n)` remain owned by the
+  /// caller: they were NOT sent and must be retried later (`would_block`
+  /// says the kernel pushed back; after an error the caller just calls
+  /// again).
   struct BatchResult {
     std::size_t consumed = 0;  ///< sent + errored; never double-sent
     std::size_t sent = 0;      ///< datagrams actually handed to the kernel
@@ -106,9 +109,10 @@ class UdpSocket {
     bool would_block = false;  ///< hit transient backpressure mid-burst
   };
 
-  /// Sends up to `n` frames with as few syscalls as possible (sendmmsg on
-  /// Linux, a sendto loop elsewhere). Stops at the first transient
-  /// backpressure signal; see BatchResult for the ownership contract.
+  /// Sends up to `n` datagrams with as few syscalls as possible (sendmmsg
+  /// on Linux, a sendto loop elsewhere). Stops at the first transient
+  /// backpressure signal or hard error; see BatchResult for the ownership
+  /// contract.
   FM_HOT_PATH BatchResult send_batch(const TxFrame* frames, std::size_t n);
 
   /// Sends `iovcnt` equal-size frames (`seg_len` bytes each; the LAST may

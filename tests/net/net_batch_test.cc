@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -298,6 +299,8 @@ TEST(NetBatch, ModeMatrixDeliversAndCountsCoherently) {
     RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
       EXPECT_EQ(ep.batching(), mode.tx_batch != 0);
       if (mode.force_no_gso) EXPECT_FALSE(ep.gso_active());
+      cluster.report("rank" + std::to_string(ep.id()) + ".gso_active",
+                     ep.gso_active() ? 1.0 : 0.0);
       std::uint8_t buf[64] = {1, 2, 3};
       if (ep.id() == 0) {
         for (int m = 0; m < kMsgs; ++m) {
@@ -325,6 +328,24 @@ TEST(NetBatch, ModeMatrixDeliversAndCountsCoherently) {
     }
     if (mode.force_no_gso || mode.gso == 0)
       EXPECT_EQ(r.sum_counter("gso_segments"), 0.0);
+    // Batched without GSO (asked off, refused by the probe, or forced
+    // off), frames for one peer pack into shared datagrams. Single-shot
+    // and GSO trains keep one frame per datagram.
+    const bool gso = r.metrics["rank0.gso_active"] != 0.0;
+    const double frames_tx = r.sum_counter("frames_sent");
+    const double frames_rx = r.sum_counter("frames_received");
+    EXPECT_EQ(r.sum_counter("stray_datagrams"), 0.0);
+    if (mode.tx_batch != 0 && !gso) {
+      EXPECT_LT(r.sum_counter("datagrams_tx"), frames_tx)
+          << "no datagram carried more than one frame";
+      EXPECT_LT(r.sum_counter("datagrams_rx"), frames_rx);
+      // Counting datagrams, batch_tx_frames could never exceed
+      // datagrams_tx; counting the frames packed in them, it does.
+      EXPECT_GT(r.sum_counter("batch_tx_frames"),
+                r.sum_counter("datagrams_tx"));
+    } else {
+      EXPECT_EQ(r.sum_counter("datagrams_rx"), frames_rx);
+    }
   }
 }
 
@@ -390,6 +411,170 @@ TEST(NetBatch, GsoMidRunFailureFallsBackWithoutLosingATrain) {
   EXPECT_GT(r.sum_counter("gso_fallbacks"), 0.0);
   EXPECT_GT(r.sum_counter("gso_segments"), 0.0)
       << "exactly one train should have gone out before the failure";
+}
+
+TEST(NetBatch, InterleavedDestinationsNeverShareADatagram) {
+  // Rank 0 interleaves sends to ranks 1 and 2 in runs of 1, 2, 3 and 5
+  // frames, so packing must both join each run into shared datagrams and
+  // close a datagram at every change of destination. Each message names
+  // the rank it is for: a datagram that mixed destinations would deliver
+  // the other rank's frames here.
+  constexpr std::uint32_t kPerPeer = 300;
+  FmConfig cfg = testing::NetBackend::adapt(FmConfig());
+  NetConfig nc;
+  nc.tx_batch = 1;
+  nc.gso = 0;
+  Cluster cluster(3, cfg, nc);
+  std::vector<int> seen(kPerPeer, 0);
+  std::uint32_t got = 0, expect_next = 0, misrouted = 0, out_of_order = 0;
+  HandlerId h = cluster.register_handler(
+      [&](Endpoint& ep, NodeId src, const void* data, std::size_t len) {
+        ASSERT_EQ(len, 16u);
+        EXPECT_EQ(src, 0u);
+        std::uint32_t w[4];
+        std::memcpy(w, data, 16);
+        if (w[0] != ep.id()) {
+          ++misrouted;
+          return;
+        }
+        ASSERT_LT(w[1], kPerPeer);
+        EXPECT_EQ(w[2], w[1] * 5 + w[0]);
+        if (w[1] != expect_next) ++out_of_order;
+        expect_next = w[1] + 1;
+        ++seen[w[1]];
+        ++got;
+      });
+  RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
+    EXPECT_FALSE(ep.gso_active());
+    if (ep.id() == 0) {
+      constexpr std::uint32_t kRuns[] = {1, 2, 3, 5};
+      std::uint32_t next[3] = {0, 0, 0};
+      NodeId dest = 1;
+      for (std::size_t run = 0; next[1] < kPerPeer || next[2] < kPerPeer;
+           ++run, dest = 3 - dest) {
+        for (std::uint32_t i = 0; i < kRuns[run % 4] && next[dest] < kPerPeer;
+             ++i) {
+          const std::uint32_t m = next[dest]++;
+          ASSERT_TRUE(ok(ep.send4(dest, h, dest, m, m * 5 + dest, 0)));
+        }
+        if ((run & 3) == 3) ep.extract();
+      }
+    } else {
+      ep.extract_until([&] { return got >= kPerPeer; });
+      for (std::uint32_t m = 0; m < kPerPeer; ++m)
+        EXPECT_EQ(seen[m], 1) << "rank " << ep.id() << " tag " << m;
+      EXPECT_EQ(misrouted, 0u) << "rank " << ep.id();
+      cluster.report("rank" + std::to_string(ep.id()) + ".out_of_order",
+                     out_of_order);
+    }
+    ep.drain();
+    if (::testing::Test::HasFailure()) cluster.mark_child_failed();
+    fm::barrier_serviced(cluster, ep);
+  });
+  EXPECT_FALSE(r.timed_out);
+  for (const auto& rank : r.ranks) EXPECT_TRUE(rank.clean());
+  EXPECT_TRUE(r.conservation().balanced());
+  EXPECT_EQ(r.sum_counter("peers_dead"), 0.0);
+  EXPECT_EQ(r.sum_counter("messages_delivered"), 2.0 * kPerPeer);
+  EXPECT_EQ(r.sum_counter("stray_datagrams"), 0.0);
+  EXPECT_EQ(r.sum_counter("malformed_frames"), 0.0);
+  // The runs really were packed.
+  EXPECT_LT(r.sum_counter("node0.datagrams_tx"),
+            r.sum_counter("node0.frames_sent"));
+  // FM promises no ordering once a frame is retransmitted or bounced
+  // (docs/PROTOCOL.md §4). Without either, loopback UDP keeps each socket
+  // pair in order, and packing must keep a datagram's frames in send
+  // order too.
+  if (r.sum_counter("retransmissions") == 0 &&
+      r.sum_counter("rejects_issued") == 0) {
+    EXPECT_EQ(r.metrics["rank1.out_of_order"], 0.0);
+    EXPECT_EQ(r.metrics["rank2.out_of_order"], 0.0);
+  }
+}
+
+TEST(NetBatch, PackedBurstsSurviveBackpressureAndKernelDrops) {
+  // Packed datagrams through both failure shapes at once: the forced
+  // every-5th EWOULDBLOCK tears each flush mid-burst, and two senders
+  // pouring segmented messages into one 2 KB receive buffer make the
+  // kernel drop datagrams. A drop now loses every frame packed in the
+  // datagram; FM-R must still recover each one exactly once.
+  constexpr std::uint32_t kMsgs = 200;  // per sender
+  constexpr std::size_t kNodes = 3;
+  FmConfig cfg = testing::NetBackend::adapt(FmConfig());
+  cfg.retransmit_timeout_ns = 2'000'000;  // 2 ms
+  cfg.max_retries = 30;  // heavy loss must never read as a dead peer
+  // Above the backed-off retransmission horizon (see NetSoak).
+  cfg.reassembly_ttl_ns = 20'000'000'000ull;
+  NetConfig nc;
+  nc.tx_batch = 1;
+  nc.gso = 0;
+  nc.debug_wouldblock_every = 5;
+  nc.so_rcvbuf = 2048;  // the kernel clamps to its floor — still tiny
+  nc.run_timeout_ns = 90'000'000'000ull;
+  Cluster cluster(kNodes, cfg, nc);
+  // Message m is 1 to 4 frames long, filled from its sender and tag.
+  auto msg_len = [](std::uint32_t m) -> std::size_t {
+    return 8 + (m % 4) * 130;
+  };
+  auto fill = [](NodeId src, std::uint32_t m, std::size_t i) {
+    return static_cast<std::uint8_t>(src * 77 + m * 13 + i);
+  };
+  std::map<std::pair<NodeId, std::uint32_t>, int> seen;
+  std::uint32_t got = 0;
+  HandlerId h = cluster.register_handler(
+      [&](Endpoint&, NodeId src, const void* data, std::size_t len) {
+        ASSERT_GE(len, 8u);
+        std::uint32_t m;
+        std::memcpy(&m, data, 4);
+        ASSERT_LT(m, kMsgs);
+        ASSERT_EQ(len, msg_len(m));
+        const auto* p = static_cast<const std::uint8_t*>(data);
+        for (std::size_t i = 4; i < len; ++i)
+          ASSERT_EQ(p[i], fill(src, m, i)) << "byte " << i;
+        ++seen[{src, m}];
+        ++got;
+      });
+  RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
+    if (ep.id() != 0) {
+      std::vector<std::uint8_t> buf(msg_len(3));
+      for (std::uint32_t m = 0; m < kMsgs; ++m) {
+        std::memcpy(buf.data(), &m, 4);
+        for (std::size_t i = 4; i < msg_len(m); ++i)
+          buf[i] = fill(ep.id(), m, i);
+        ASSERT_TRUE(ok(ep.send(0, h, buf.data(), msg_len(m))));
+        if ((m & 7) == 7) ep.extract();
+      }
+    } else {
+      ep.extract_until([&] { return got >= 2 * kMsgs; });
+      for (const auto& [key, count] : seen)
+        EXPECT_EQ(count, 1) << "src " << key.first << " tag " << key.second;
+      EXPECT_EQ(seen.size(), 2u * kMsgs);
+    }
+    ep.drain();
+    if (::testing::Test::HasFailure()) cluster.mark_child_failed();
+    fm::barrier_serviced(cluster, ep);
+  });
+  EXPECT_FALSE(r.timed_out);
+  for (const auto& rank : r.ranks) EXPECT_TRUE(rank.clean());
+  obs::Conservation k = r.conservation();
+  EXPECT_TRUE(k.balanced())
+      << "sent=" << k.sent << " delivered=" << k.delivered
+      << " abandoned=" << k.abandoned;
+  EXPECT_EQ(r.sum_counter("peers_dead"), 0.0);
+  EXPECT_EQ(r.sum_counter("messages_delivered"), 2.0 * kMsgs);
+  EXPECT_EQ(r.sum_counter("malformed_frames"), 0.0);
+  // Both failure paths really ran, on packed datagrams: counting one
+  // frame per datagram, batch_tx_frames could not exceed datagrams_tx.
+  EXPECT_GT(r.sum_counter("node1.batch_tx_frames") +
+                r.sum_counter("node2.batch_tx_frames"),
+            r.sum_counter("node1.datagrams_tx") +
+                r.sum_counter("node2.datagrams_tx"));
+  EXPECT_GT(r.sum_counter("ewouldblock_stalls"), 0.0);
+  EXPECT_GT(r.sum_counter("retransmit_timeouts"), 0.0);
+#ifdef SO_RXQ_OVFL
+  EXPECT_GT(r.sum_counter("kernel_drops"), 0.0)
+      << "the tiny receive buffer should have forced real kernel drops";
+#endif
 }
 
 TEST(NetBatch, BusyPollSpinCatchesALateArrival) {

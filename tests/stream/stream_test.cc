@@ -10,6 +10,7 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
+#include "fm/cluster_runner.h"
 
 namespace fm::stream {
 namespace {
@@ -86,14 +87,19 @@ TEST(Stream, WindowThrottlesASlowReader) {
         // Receive-side invariant: buffered bytes never exceed the window.
         EXPECT_LE(c.readable(), kWindow);
       }
-      ep.drain();
     } else {
       Connection& c = mgr.connect(0, 9);
       std::vector<std::uint8_t> chunk(kTotal, 0xAB);
       EXPECT_TRUE(c.write(chunk.data(), chunk.size()));
       while (reader_got.load() < kTotal) mgr.poll();
-      ep.drain();
     }
+    // The writer stops polling as soon as the reader has counted the last
+    // bytes, with the reader's final credit updates still unextracted: its
+    // own drain() returns at once (its window is empty), so a reader that
+    // drains alone waits forever for acks. The servicing barrier keeps
+    // both ranks extracting until both windows are empty.
+    ep.drain();
+    fm::barrier_serviced(cluster, ep);
   });
   EXPECT_EQ(reader_got.load(), kTotal);
 }
