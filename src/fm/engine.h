@@ -52,7 +52,8 @@ namespace fm {
 ///       push drops on backpressure instead (only FM-R retains a copy).
 ///   poll_rx()
 ///       Drains a bounded burst of received frames, handing each to
-///       process_frame(), and calls flush_deferred_tx() once the frames it
+///       process_frame() (a datagram of packed frames to process_packed()),
+///       and calls flush_deferred_tx() once the frames it
 ///       processed in place are consumed (its pushes can nest extract(),
 ///       which reuses the receive buffers); returns how many frames came
 ///       from known peers.
@@ -201,9 +202,20 @@ class ProtocolEngine {
   /// One received frame, from the transport's poll_rx(). Processed in
   /// place: it never re-enters extract() — every transmission it provokes
   /// is deferred (defer_reject) or queued (rejq_, posted_) and injected by
-  /// flush_deferred_tx() / the rest of the extract() pass.
-  FM_HOT_PATH void process_frame(NodeId from, const std::uint8_t* data,
+  /// flush_deferred_tx() / the rest of the extract() pass. Returns false
+  /// when the frame failed its integrity checks: it did not decode, or in
+  /// CRC mode its trailer was missing or wrong.
+  FM_HOT_PATH bool process_frame(NodeId from, const std::uint8_t* data,
                                  std::size_t len);
+  /// One received datagram that carries 1..k whole frames back to back,
+  /// from a transport that packs them (walk_frames, fm/frame.h). A frame
+  /// that fails its integrity checks ends the walk: its length came from
+  /// the bytes that failed, so the rest of the datagram has no boundary
+  /// worth trusting and counts as one malformed frame. Returns the frames
+  /// counted.
+  FM_HOT_PATH std::size_t process_packed(NodeId from,
+                                         const std::uint8_t* data,
+                                         std::size_t len);
   FM_HOT_PATH void flush_deferred_tx();
 
   /// True when a push blocked on backpressure should give up: a nested
@@ -814,14 +826,34 @@ void ProtocolEngine<Transport>::mark_peer_dead(NodeId peer) {
 }
 
 template <typename Transport>
-void ProtocolEngine<Transport>::process_frame(NodeId from,
+std::size_t ProtocolEngine<Transport>::process_packed(NodeId from,
+                                                      const std::uint8_t* data,
+                                                      std::size_t len) {
+  std::size_t frames = 0;
+  const std::size_t walked =
+      walk_frames(data, len, [&](const std::uint8_t* frame, std::size_t n) {
+        ++frames;
+        return process_frame(from, frame, n);
+      });
+  if (walked < len) {
+    ++frames;
+    ++stats_.frames_received;
+    ++stats_.malformed_frames;
+  }
+  return frames;
+}
+
+template <typename Transport>
+bool ProtocolEngine<Transport>::process_frame(NodeId from,
                                               const std::uint8_t* data,
                                               std::size_t len) {
   trace_.assert_writer();  // single-threaded endpoint: we are the writer
   ++stats_.frames_received;
   if (cfg_.reliability) last_heard_ns_[from] = rx_now_ns_;
   auto hdr = decode_header(data, len);
-  if (!hdr.has_value()) {
+  // In CRC mode every sender trailers every frame, so a frame without the
+  // flag had it flipped, and its length with it: it is malformed.
+  if (!hdr.has_value() || (cfg_.crc_frames && !hdr->has_crc())) {
     // On a lossless substrate only injected corruption can produce wire
     // garbage, so a malformed frame there is a protocol bug; on a real
     // network it is weather.
@@ -829,14 +861,14 @@ void ProtocolEngine<Transport>::process_frame(NodeId from,
       FM_CHECK_MSG(faults_ != nullptr,
                    "malformed frame on a lossless transport");
     ++stats_.malformed_frames;
-    return;
+    return false;
   }
   const FrameHeader& h = *hdr;
   if (h.has_crc() && !frame_crc_ok(h, data)) {
     ++stats_.crc_drops;
     if (trace_.enabled())
       trace_.event(now_ns(), cat_crc_drop_, 'i', from, h.seq);
-    return;  // no ack — the sender's retransmit timer recovers the frame
+    return false;  // no ack — the sender's retransmit timer recovers it
   }
   // Acks are attributed to the transport source (`from`), not the header's
   // src field: the ring or kernel-reported address is ground truth even
@@ -858,7 +890,7 @@ void ProtocolEngine<Transport>::process_frame(NodeId from,
         if constexpr (Transport::kLossless)
           FM_CHECK_MSG(faults_ != nullptr, "reject for a frame we never sent");
         ++stats_.malformed_frames;
-        return;
+        return true;
       }
       ++stats_.rejects_received;
       // The rejection proved the peer alive; the reject-queue backoff now
@@ -898,13 +930,13 @@ void ProtocolEngine<Transport>::process_frame(NodeId from,
               FM_CHECK_MSG(faults_ != nullptr,
                            "malformed fragment on a lossless transport");
             ++stats_.malformed_frames;
-            return;  // dropped: no ack, no dedup mark
+            return true;  // dropped: no ack, no dedup mark
           case Reassembler::Feed::kRejected:
             ++stats_.rejects_issued;
             if (trace_.enabled())
               trace_.event(now_ns(), cat_reject_, 'i', from, h.seq);
             defer_reject(from, h, data);
-            return;  // not accepted: no ack, no dedup mark
+            return true;  // not accepted: no ack, no dedup mark
           case Reassembler::Feed::kAccepted:
             break;
           case Reassembler::Feed::kComplete:
@@ -930,6 +962,7 @@ void ProtocolEngine<Transport>::process_frame(NodeId from,
       break;
     }
   }
+  return true;
 }
 
 template <typename Transport>

@@ -18,6 +18,14 @@ FM_HOT_PATH T get(const std::uint8_t* p) {
   return v;
 }
 
+/// The three fields that fix a frame's wire length. decode_header and
+/// next_frame_len both read them here, so the layout is spelled once.
+FM_HOT_PATH void get_length_fields(const std::uint8_t* data, FrameHeader* h) {
+  h->ack_count = get<std::uint8_t>(data + 1);
+  h->payload_len = get<std::uint16_t>(data + 12);
+  h->flags = get<std::uint16_t>(data + 14);
+}
+
 }  // namespace
 
 std::size_t encode_frame_into(std::uint8_t* out, const FrameHeader& h,
@@ -64,12 +72,10 @@ std::optional<FrameHeader> decode_header(const std::uint8_t* data,
   std::uint8_t type = get<std::uint8_t>(data + 0);
   if (type < 1 || type > 3) return std::nullopt;
   h.type = static_cast<FrameType>(type);
-  h.ack_count = get<std::uint8_t>(data + 1);
+  get_length_fields(data, &h);
   h.handler = get<std::uint16_t>(data + 2);
   h.src = get<std::uint32_t>(data + 4);
   h.seq = get<std::uint32_t>(data + 8);
-  h.payload_len = get<std::uint16_t>(data + 12);
-  h.flags = get<std::uint16_t>(data + 14);
   if (h.fragmented()) {
     if (len < FrameHeader::kBaseBytes + FrameHeader::kFragExtBytes)
       return std::nullopt;
@@ -79,6 +85,14 @@ std::optional<FrameHeader> decode_header(const std::uint8_t* data,
   }
   if (h.wire_bytes() != len) return std::nullopt;
   return h;
+}
+
+std::size_t next_frame_len(const std::uint8_t* data, std::size_t left) {
+  if (left < FrameHeader::kBaseBytes) return left;
+  FrameHeader h;
+  get_length_fields(data, &h);
+  const std::size_t len = h.wire_bytes();
+  return len <= left ? len : left;
 }
 
 std::uint32_t frame_ack(const FrameHeader& h, const std::uint8_t* data,

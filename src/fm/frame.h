@@ -102,22 +102,34 @@ constexpr std::size_t max_wire_bytes(std::size_t frame_payload) {
 
 /// Splits packed frames: the wire length of the frame at the front of the
 /// `left` bytes at `data`, read from its self-describing header. A datagram
-/// may carry several whole frames back to back; the receiver walks it with
-/// this until nothing is left. A header that is short, or that claims more
-/// bytes than remain, makes the whole remainder one frame (which
-/// decode_header then rejects as malformed), so the walk never reads past
-/// the buffer. Returns 0 only when `left` is 0. The type byte is not
-/// checked here: a frame whose length fits is split off and judged by
-/// decode_header like any other.
-FM_HOT_PATH inline std::size_t next_frame_len(const std::uint8_t* data,
-                                              std::size_t left) {
-  if (left < FrameHeader::kBaseBytes) return left;
-  FrameHeader h;
-  h.ack_count = data[1];
-  std::memcpy(&h.payload_len, data + 12, sizeof h.payload_len);
-  std::memcpy(&h.flags, data + 14, sizeof h.flags);
-  const std::size_t len = h.wire_bytes();
-  return len <= left ? len : left;
+/// may carry several whole frames back to back; walk_frames steps through
+/// it with this. A header that is short, or that claims more bytes than
+/// remain, makes the whole remainder one frame (which decode_header then
+/// rejects as malformed), so the walk never reads past the buffer. Returns
+/// 0 only when `left` is 0. The type byte is not checked here: a frame
+/// whose length fits is split off and judged by decode_header like any
+/// other.
+FM_HOT_PATH std::size_t next_frame_len(const std::uint8_t* data,
+                                       std::size_t left);
+
+/// Walks the `len` bytes of a datagram that carries whole frames back to
+/// back, handing each to `on_frame(frame, frame_len)` in turn (an empty
+/// datagram is one empty frame). `on_frame` returns false when the frame
+/// failed its integrity checks. Its length was read from the bytes that
+/// failed, so no boundary after it can be trusted and the walk ends there.
+/// Returns the bytes walked: less than `len` leaves a remainder that the
+/// caller counts as one malformed frame. Never reads past `data + len`.
+template <typename OnFrame>
+FM_HOT_PATH std::size_t walk_frames(const std::uint8_t* data, std::size_t len,
+                                    OnFrame&& on_frame) {
+  std::size_t at = 0;
+  do {
+    const std::size_t n = next_frame_len(data + at, len - at);
+    const bool intact = on_frame(data + at, n);
+    at += n;
+    if (!intact) break;
+  } while (at < len);
+  return at;
 }
 
 /// Serializes a frame directly into `out`, which must hold at least

@@ -341,16 +341,9 @@ void Endpoint::process_rx_buffer(const UdpSocket::RxMsg& m,
       // a port scan): count and drop, never crash.
       ++stray_datagrams_;
     } else {
-      // A datagram carries whole frames back to back; next_frame_len
-      // splits them. An empty datagram is one empty frame, which
-      // process_frame counts malformed like any other wire garbage.
-      std::size_t at = 0;
-      do {
-        const std::size_t flen = next_frame_len(base + off + at, dlen - at);
-        ++*count;
-        process_frame(from, base + off + at, flen);
-        at += flen;
-      } while (at < dlen);
+      // A datagram carries whole frames back to back. An empty one is one
+      // empty frame, counted malformed like any other wire garbage.
+      *count += process_packed(from, base + off, dlen);
     }
     off += dlen;
   } while (off < m.len);

@@ -120,7 +120,7 @@ class Endpoint final : public ProtocolEngine<Endpoint> {
   FM_HOT_PATH void flush_tx_batch();
   /// One received buffer from either RX path (recvmmsg or recv_one): splits
   /// a GRO train into its datagrams and each datagram into its packed
-  /// frames, and feeds each frame through process_frame. `seen` counts
+  /// frames, and feeds each datagram through process_packed. `seen` counts
   /// wire datagrams against the extract budget, `count` counts frames from
   /// known peers (poll_rx()'s return value). The caller runs
   /// flush_deferred_tx() only after the buffer is consumed.

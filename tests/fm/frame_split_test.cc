@@ -1,10 +1,12 @@
-// next_frame_len: splitting a datagram that carries several whole frames
-// back to back. The net backend packs frames for one peer into one
-// datagram and walks it with this helper, so the walk must find every
-// frame exactly, and a short or lying header must end it inside the
-// buffer as one malformed frame.
+// next_frame_len / walk_frames: splitting a datagram that carries several
+// whole frames back to back. The net backend packs frames for one peer
+// into one datagram and walks it with these helpers, so the walk must find
+// every frame exactly, a short or lying header must end it inside the
+// buffer as one malformed frame, and a frame that fails its integrity
+// checks must end it before the bytes after it are read as frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -17,18 +19,18 @@ namespace {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// The receive loop's walk: (offset, length) of each frame in `d`. An
-/// empty datagram is one empty frame, exactly as the endpoint feeds it to
-/// process_frame.
+/// The receive loop's walk with every frame judged intact: (offset,
+/// length) of each frame in `d`. An empty datagram is one empty frame,
+/// exactly as the endpoint feeds it to process_frame.
 std::vector<std::pair<std::size_t, std::size_t>> split(const Bytes& d) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
-  std::size_t at = 0;
-  do {
-    const std::size_t n = next_frame_len(d.data() + at, d.size() - at);
-    EXPECT_LE(n, d.size() - at);
-    out.emplace_back(at, n);
-    at += n;
-  } while (at < d.size());
+  const std::size_t walked =
+      walk_frames(d.data(), d.size(), [&](const std::uint8_t* f, std::size_t n) {
+        EXPECT_LE(f + n, d.data() + d.size());
+        out.emplace_back(static_cast<std::size_t>(f - d.data()), n);
+        return true;
+      });
+  EXPECT_EQ(walked, d.size());
   return out;
 }
 
@@ -189,6 +191,116 @@ TEST(FrameSplit, RandomGarbageWalkStaysInsideTheBuffer) {
     }
     EXPECT_EQ(total, d.size());
   }
+}
+
+/// The receiver's integrity verdict in CRC mode (process_frame): the frame
+/// decodes, carries the CRC flag, and its trailer matches.
+bool intact_with_crc(const std::uint8_t* f, std::size_t n) {
+  const auto h = decode_header(f, n);
+  return h.has_value() && h->has_crc() && frame_crc_ok(*h, f);
+}
+
+/// A CRC-less data frame to plant inside another frame: what a misaligned
+/// walk would find after a length field shrank.
+Bytes planted_header() { return data_frame(0x7777, 4); }
+
+/// A CRC frame with `len` payload bytes and `acks` acks, whose bytes from
+/// offset `at` on (counted from the frame's start, before the CRC is
+/// computed) are overwritten with `planted`.
+Bytes carrier(std::uint16_t len, std::uint8_t acks, std::size_t at,
+              const Bytes& planted) {
+  FrameHeader h;
+  h.type = FrameType::kData;
+  h.handler = 5;
+  h.src = 2;
+  h.seq = 1;
+  h.payload_len = len;
+  h.flags = FrameHeader::kFlagCrc;
+  h.ack_count = acks;
+  // Payload and ack trailer as one body, so the plant may span both.
+  Bytes body(len + 4u * acks, 0xEE);
+  std::copy(planted.begin(), planted.end(),
+            body.begin() + (at - FrameHeader::kBaseBytes));
+  std::vector<std::uint32_t> ack(acks);
+  if (acks) std::memcpy(ack.data(), body.data() + len, 4u * acks);
+  return encode_frame(h, body.data(), ack.data());
+}
+
+/// Walks `d` with the CRC-mode verdict; returns the offsets handed out and
+/// the bytes walked.
+std::pair<std::vector<std::size_t>, std::size_t> walk_with_crc(
+    const Bytes& d) {
+  std::vector<std::size_t> offsets;
+  const std::size_t walked = walk_frames(
+      d.data(), d.size(), [&](const std::uint8_t* f, std::size_t n) {
+        offsets.push_back(static_cast<std::size_t>(f - d.data()));
+        return intact_with_crc(f, n);
+      });
+  return {offsets, walked};
+}
+
+/// Checks that a walk reaching `at` would find the planted header there as
+/// a frame that decodes, so only the stop keeps it from being processed.
+void expect_plant_at(const Bytes& d, std::size_t at, const Bytes& planted) {
+  ASSERT_EQ(next_frame_len(d.data() + at, d.size() - at), planted.size());
+  EXPECT_TRUE(decode_header(d.data() + at, planted.size()).has_value());
+}
+
+TEST(FrameSplit, ShrunkPayloadLengthEndsTheWalkBeforeAPlantedHeader) {
+  // One bit flip takes payload_len from 96 to 32, moving the next boundary
+  // to byte 16 + 32 + 4 of the frame, inside its payload, where a valid
+  // CRC-less header is planted. The CRC check fails on the shrunk frame,
+  // and the walk must stop there.
+  const Bytes planted = planted_header();
+  const std::size_t plant_at = FrameHeader::kBaseBytes + 32 + 4;
+  Bytes first = carrier(96, 0, plant_at, planted);
+  const std::uint16_t shrunk = 32;
+  std::memcpy(first.data() + 12, &shrunk, sizeof shrunk);
+  const Bytes d = pack({first, data_frame(2, 16, FrameHeader::kFlagCrc)});
+  expect_plant_at(d, plant_at, planted);
+  const auto [offsets, walked] = walk_with_crc(d);
+  EXPECT_EQ(offsets, std::vector<std::size_t>{0});
+  EXPECT_LT(walked, d.size()) << "the rest must be one malformed frame";
+}
+
+TEST(FrameSplit, ShrunkAckCountEndsTheWalkBeforeAPlantedHeader) {
+  // One bit flip takes ack_count from 14 to 6, moving the next boundary 32
+  // bytes back, into the ack trailer, where a valid CRC-less header is
+  // planted across acks 6..10.
+  const Bytes planted = planted_header();
+  const std::uint16_t len = 16;
+  const std::size_t plant_at = FrameHeader::kBaseBytes + len + 4 * 6 + 4;
+  Bytes first = carrier(len, 14, plant_at, planted);
+  first[1] = 6;
+  const Bytes d = pack({first, ack_frame(3, true)});
+  expect_plant_at(d, plant_at, planted);
+  const auto [offsets, walked] = walk_with_crc(d);
+  EXPECT_EQ(offsets, std::vector<std::size_t>{0});
+  EXPECT_LT(walked, d.size());
+}
+
+TEST(FrameSplit, CrcModeFrameWithoutTheFlagEndsTheWalk) {
+  // Clearing the CRC flag drops the trailer from the frame's length, so
+  // the frame would decode with no CRC check and the walk would go on at
+  // its trailer. In CRC mode such a frame is not intact.
+  Bytes first = data_frame(1, 16, FrameHeader::kFlagCrc);
+  first[14] &= static_cast<std::uint8_t>(~FrameHeader::kFlagCrc);
+  ASSERT_TRUE(decode_header(first.data(), first.size() - 4).has_value());
+  const Bytes d = pack({first, data_frame(2, 16, FrameHeader::kFlagCrc)});
+  const auto [offsets, walked] = walk_with_crc(d);
+  EXPECT_EQ(offsets, std::vector<std::size_t>{0});
+  EXPECT_EQ(walked, first.size() - 4);
+}
+
+TEST(FrameSplit, IntactCrcFramesWalkToTheEnd) {
+  const std::vector<Bytes> frames = {
+      data_frame(1, 16, FrameHeader::kFlagCrc), ack_frame(4, true),
+      data_frame(2, 128, FrameHeader::kFlagFragmented | FrameHeader::kFlagCrc,
+                 2)};
+  const Bytes d = pack(frames);
+  const auto [offsets, walked] = walk_with_crc(d);
+  EXPECT_EQ(offsets.size(), frames.size());
+  EXPECT_EQ(walked, d.size());
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // batched endpoint keeping FM's exactly-once semantics when the kernel
 // takes only part of a burst.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -12,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "fm/frame.h"
 #include "net/cluster.h"
 #include "net/socket.h"
 #include "support/backends.h"
@@ -154,6 +158,51 @@ TEST(UdpSocketBatch, ShortCountMidBurstLosesNothingSendsNothingTwice) {
   const auto got = drain_frames(rx_sock, 10);
   ASSERT_EQ(got.size(), 10u);
   for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(got.at(i), frames[i]);
+  EXPECT_FALSE(rx_sock.wait_readable(50)) << "a duplicate datagram arrived";
+}
+
+TEST(UdpSocketBatch, HardErrorIsTheLastDatagramConsumed) {
+  // A datagram to port 0 is refused synchronously (EINVAL): a real hard
+  // per-datagram error. send_batch must end the call at it, so the
+  // datagrams a call sent are exactly a prefix of what it consumed, and
+  // the caller's next call carries the rest. The endpoint's batch_tx_frames
+  // sums per-slot frame counts over that prefix.
+  UdpSocket tx_sock, rx_sock;
+  const sockaddr_in live = UdpSocket::loopback_addr(rx_sock.port());
+  const sockaddr_in refused = UdpSocket::loopback_addr(0);
+  const bool kRefused[] = {true, false, false, true, false, false};
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<UdpSocket::TxFrame> tx;
+  for (std::uint8_t i = 0; i < 6; ++i) frames.push_back(pattern_frame(i, 40));
+  for (std::uint8_t i = 0; i < 6; ++i)
+    tx.push_back({frames[i].data(), static_cast<std::uint32_t>(40),
+                  kRefused[i] ? &refused : &live});
+  // A refused head is consumed alone.
+  const UdpSocket::BatchResult first = tx_sock.send_batch(tx.data(), 6);
+  EXPECT_EQ(first.consumed, 1u);
+  EXPECT_EQ(first.sent, 0u);
+  EXPECT_EQ(first.errors, 1u);
+  EXPECT_FALSE(first.would_block);
+  std::size_t offset = first.consumed, sent = 0, errors = first.errors;
+  for (int rounds = 0; offset < tx.size() && rounds < 20; ++rounds) {
+    const UdpSocket::BatchResult r =
+        tx_sock.send_batch(tx.data() + offset, tx.size() - offset);
+    EXPECT_EQ(r.consumed, r.sent + r.errors);
+    EXPECT_LE(r.errors, 1u);
+    for (std::size_t i = 0; i < r.sent; ++i)
+      EXPECT_FALSE(kRefused[offset + i]) << "a refused datagram counted sent";
+    if (r.errors == 1) EXPECT_TRUE(kRefused[offset + r.consumed - 1]);
+    offset += r.consumed;
+    sent += r.sent;
+    errors += r.errors;
+  }
+  EXPECT_EQ(offset, tx.size());
+  EXPECT_EQ(sent, 4u);
+  EXPECT_EQ(errors, 2u);
+  // Every live datagram arrives exactly once.
+  const auto got = drain_frames(rx_sock, 4);
+  ASSERT_EQ(got.size(), 4u);
+  for (std::uint8_t i : {1, 2, 4, 5}) EXPECT_EQ(got.at(i), frames[i]);
   EXPECT_FALSE(rx_sock.wait_readable(50)) << "a duplicate datagram arrived";
 }
 
@@ -490,6 +539,101 @@ TEST(NetBatch, InterleavedDestinationsNeverShareADatagram) {
     EXPECT_EQ(r.metrics["rank1.out_of_order"], 0.0);
     EXPECT_EQ(r.metrics["rank2.out_of_order"], 0.0);
   }
+}
+
+/// The descriptor of the inherited socket bound to `addr`'s port: lets a
+/// rank write raw datagrams from its own address, which the receiver maps
+/// to that rank. -1 when there is none.
+int socket_fd_bound_to(const sockaddr_in& addr) {
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in sa{};
+    socklen_t n = sizeof sa;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &n) == 0 &&
+        sa.sin_family == AF_INET && sa.sin_port == addr.sin_port)
+      return fd;
+  }
+  return -1;
+}
+
+/// A CRC data frame for `handler`, with `len` payload bytes and `acks`
+/// acks, whose bytes from frame offset `at` on are overwritten with
+/// `plant` before the CRC is computed.
+std::vector<std::uint8_t> carrier_frame(HandlerId handler, std::uint32_t seq,
+                                        std::uint16_t len, std::uint8_t acks,
+                                        std::size_t at,
+                                        const std::vector<std::uint8_t>& plant) {
+  FrameHeader h;
+  h.handler = handler;
+  h.seq = seq;
+  h.payload_len = len;
+  h.ack_count = acks;
+  h.flags = FrameHeader::kFlagCrc;
+  std::vector<std::uint8_t> body(len + 4u * acks, 0xEE);
+  std::copy(plant.begin(), plant.end(),
+            body.begin() + (at - FrameHeader::kBaseBytes));
+  std::vector<std::uint32_t> ack(acks);
+  if (acks) std::memcpy(ack.data(), body.data() + len, 4u * acks);
+  return encode_frame(h, body.data(), ack.data());
+}
+
+TEST(NetBatch, CorruptLengthNeverDeliversTheBytesAfterIt) {
+  // Rank 0 writes three crafted datagrams from its own socket. In each, a
+  // one-bit flip in a CRC frame's length field (payload_len, ack_count, or
+  // the CRC flag) moves the next frame boundary onto a planted, valid,
+  // CRC-less data frame for a trap handler. The receiver must drop the
+  // corrupt frame and the rest of the datagram: nothing reaches the trap.
+  FmConfig cfg = testing::NetBackend::adapt(FmConfig());
+  ASSERT_TRUE(cfg.crc_frames);
+  Cluster cluster(2, cfg);
+  int trapped = 0;
+  HandlerId trap = cluster.register_handler(
+      [&](Endpoint&, NodeId, const void*, std::size_t) { ++trapped; });
+  FrameHeader ph;
+  ph.handler = trap;
+  ph.seq = 0x7777;
+  ph.payload_len = 4;
+  const std::uint8_t boom[4] = {'b', 'o', 'o', 'm'};
+  const std::vector<std::uint8_t> plant = encode_frame(ph, boom, nullptr);
+  std::vector<std::vector<std::uint8_t>> datagrams;
+  // payload_len 96 -> 32: the boundary moves to 16 + 32 + 4, in the payload.
+  datagrams.push_back(carrier_frame(trap, 0x40000001, 96, 0, 52, plant));
+  datagrams.back()[12] = 32;
+  // ack_count 14 -> 6: the boundary moves to 16 + 16 + 24 + 4, in the acks.
+  datagrams.push_back(carrier_frame(trap, 0x40000002, 16, 14, 60, plant));
+  datagrams.back()[1] = 6;
+  // CRC flag cleared: the frame would pass unchecked, 4 bytes short.
+  datagrams.push_back(carrier_frame(trap, 0x40000003, 16, 0, 16, {}));
+  datagrams.back()[14] &= static_cast<std::uint8_t>(~FrameHeader::kFlagCrc);
+  RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
+    if (ep.id() == 0) {
+      const int fd = socket_fd_bound_to(cluster.addr(0));
+      ASSERT_GE(fd, 0);
+      for (const auto& d : datagrams)
+        ASSERT_EQ(::sendto(fd, d.data(), d.size(), 0,
+                           reinterpret_cast<const sockaddr*>(&cluster.addr(1)),
+                           sizeof(sockaddr_in)),
+                  static_cast<ssize_t>(d.size()));
+    } else {
+      // Two frames per datagram: the corrupt one and the remainder.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (ep.stats().frames_received < 6 &&
+             std::chrono::steady_clock::now() < deadline)
+        if (ep.extract() == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      EXPECT_EQ(ep.stats().frames_received, 6u);
+      EXPECT_EQ(ep.stats().crc_drops, 2u);
+      EXPECT_EQ(ep.stats().malformed_frames, 4u);
+      EXPECT_EQ(ep.stats().messages_delivered, 0u);
+      EXPECT_EQ(trapped, 0);
+    }
+    ep.drain();
+    if (::testing::Test::HasFailure()) cluster.mark_child_failed();
+    fm::barrier_serviced(cluster, ep);
+  });
+  EXPECT_FALSE(r.timed_out);
+  for (const auto& rank : r.ranks) EXPECT_TRUE(rank.clean());
+  EXPECT_EQ(r.sum_counter("stray_datagrams"), 0.0);
 }
 
 TEST(NetBatch, PackedBurstsSurviveBackpressureAndKernelDrops) {
