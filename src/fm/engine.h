@@ -282,6 +282,8 @@ class ProtocolEngine {
   FM_COLD_PATH void inject_faulty(NodeId dest, const std::uint8_t* frame,
                                   std::size_t len, bool nonblocking);
   FM_HOT_PATH void send_standalone_ack(NodeId peer);
+  // Sends a standalone ack to every peer owed ack_threshold_ or more.
+  FM_HOT_PATH void flush_threshold_acks();
   // Reject handling (both directions) only runs once a receive pool
   // overflowed — the §4.5 recovery path, kept off the hot closure.
   FM_COLD_PATH void park_reject(NodeId from, const FrameHeader& h,
@@ -313,6 +315,15 @@ class ProtocolEngine {
   std::vector<std::uint64_t> last_heard_ns_;
   std::uint64_t alive_grace_ns_ = 0;
   std::uint64_t rx_now_ns_ = 0;  // the running extract() pass's clock read
+  // Owed acks that trigger a standalone ack. It must stay below half a
+  // peer's in-flight allotment (its pending window, or its credit allotment
+  // in window mode) or senders stall with their window full while we sit on
+  // their acks. Configurations are symmetric (SPMD), so our own config
+  // tells us the peers' limits.
+  std::size_t ack_threshold_;
+  // Set when a peer's owed acks reach ack_threshold_; the next extract()
+  // pass flushes them at entry (see extract()).
+  bool ack_flush_due_ = false;
   Stats stats_;
   std::vector<Posted> posted_;
   std::vector<Posted> posted_pool_;  // recycled entries, warm payload buffers
@@ -383,6 +394,11 @@ ProtocolEngine<Transport>::ProtocolEngine(std::string scope, NodeId id,
       last_heard_ns_(nodes, 0),
       alive_grace_ns_(RetransmitTimer::detection_horizon_ns(
           cfg.retransmit_timeout_ns, cfg.max_retries)),
+      ack_threshold_(std::min(
+          cfg.ack_batch,
+          std::max<std::size_t>(
+              1, (cfg.window_mode ? cfg.window_per_peer : cfg.pending_window) /
+                     2))),
       dup_ack_due_(nodes, 0) {
   FM_CHECK_MSG(!cfg.reliability || cfg.flow_control,
                "FM-R requires flow control: the send window holds the frame "
@@ -628,8 +644,15 @@ std::size_t ProtocolEngine<Transport>::extract() {
   if (in_handler_) return 0;  // no re-entrant extraction from handlers
   trace_.assert_writer();  // single-threaded endpoint: we are the writer
   // Flush points bracket the pass: frames staged before the call go out
-  // before we read (the peer may be waiting on them), and the acks and
-  // retries generated while processing go out before we return.
+  // before we read (the peer may be waiting on them), and the retries,
+  // replies and duplicate re-acks generated while processing go out before
+  // we return. Acks that reached the batch threshold in an earlier pass
+  // leave here, at the entry flush, not in the pass that owed them: by now
+  // the replies that pass posted and the calls the application made since
+  // have carried what they could as piggybacked acks, and the standalone
+  // ack for the rest joins the staged data in the same burst (the same
+  // datagram, on a packing transport).
+  if (ack_flush_due_) flush_threshold_acks();
   self().flush_tx();
   // One clock read serves the whole pass: the liveness stamps of the
   // frames received, the FM-R timers, and the trace span's start. Without
@@ -669,22 +692,12 @@ std::size_t ProtocolEngine<Transport>::extract() {
     if (cfg_.reliability) timer_.arm(entry.dest, entry.seq, now_ns());
     inject(entry.dest, entry.bytes.data(), entry.bytes.size());
   }
-  // Standalone acks for peers owed a batch. The threshold must stay below
-  // half a peer's in-flight allotment (its pending window, or its credit
-  // allotment in window mode) or senders stall with their window full
-  // while we sit on their acks. Configurations are symmetric (SPMD), so
-  // our own config tells us the peers' limits. The re-entrancy guard keeps
-  // a nested extract (ack-push backpressure) off the shared worklist.
+  // Duplicate frames seen this pass force an immediate flush to their
+  // senders, bypassing the batch threshold (see the dedup branch). The
+  // re-entrancy guard keeps a nested extract (ack-push backpressure) off
+  // the shared worklists.
   if (cfg_.flow_control && !in_ack_flush_) {
     in_ack_flush_ = true;
-    std::size_t limit =
-        cfg_.window_mode ? cfg_.window_per_peer : cfg_.pending_window;
-    std::size_t threshold =
-        std::min(cfg_.ack_batch, std::max<std::size_t>(1, limit / 2));
-    acks_.peers_over_into(threshold, ack_peers_scratch_);
-    for (NodeId peer : ack_peers_scratch_) send_standalone_ack(peer);
-    // Duplicate frames seen this pass force an immediate flush to their
-    // senders, bypassing the batch threshold (see the dedup branch).
     for (NodeId peer = 0; peer < dup_ack_due_.size(); ++peer) {
       if (dup_ack_due_[peer] == 0) continue;
       dup_ack_due_[peer] = 0;
@@ -736,6 +749,16 @@ void ProtocolEngine<Transport>::flush_deferred_tx() {
       inject(t.dest, t.bytes.data(), t.bytes.size());
   }
   flushing_deferred_ = false;
+}
+
+template <typename Transport>
+void ProtocolEngine<Transport>::flush_threshold_acks() {
+  if (in_ack_flush_) return;  // a nested pass leaves the flag for the outer
+  in_ack_flush_ = true;
+  ack_flush_due_ = false;
+  acks_.peers_over_into(ack_threshold_, ack_peers_scratch_);
+  for (NodeId peer : ack_peers_scratch_) send_standalone_ack(peer);
+  in_ack_flush_ = false;
 }
 
 template <typename Transport>
@@ -958,7 +981,8 @@ bool ProtocolEngine<Transport>::process_frame(NodeId from,
         in_handler_ = false;
       }
       if (cfg_.reliability) dedup_.mark(from, h.seq);
-      if (cfg_.flow_control) acks_.note(from, h.seq);
+      if (cfg_.flow_control && acks_.note(from, h.seq) >= ack_threshold_)
+        ack_flush_due_ = true;
       break;
     }
   }

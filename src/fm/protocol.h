@@ -473,8 +473,10 @@ class AckTracker {
   explicit AckTracker(std::size_t per_peer_reserve = 0)
       : per_peer_reserve_(per_peer_reserve) {}
 
-  /// Notes that `seq` from `src` was accepted and must be acknowledged.
-  FM_HOT_PATH void note(NodeId src, std::uint32_t seq) {
+  /// Notes that `seq` from `src` was accepted and must be acknowledged;
+  /// returns the acks now owed to `src`, so the caller can test its flush
+  /// threshold without a second lookup.
+  FM_HOT_PATH std::size_t note(NodeId src, std::uint32_t seq) {
     std::vector<std::uint32_t>& due = due_[src];
     // fm-lint: allow(hotpath-alloc): the per-peer buffer and its map node
     // survive emptying (see take_into), so only first contact with a peer
@@ -483,6 +485,7 @@ class AckTracker {
     // fm-lint: allow(hotpath-alloc): within the capacity reserved above,
     // unless duplicates pile up, which is already the recovery path.
     due.push_back(seq);
+    return due.size();
   }
 
   /// Acks currently owed to `src`.

@@ -118,15 +118,20 @@ void Endpoint::idle_pause() {
 void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
                     std::uint32_t window_seq, bool nonblocking) {
   trace_.assert_writer();
-  // Latency bypass inside batched mode: with the staging ring empty and no
-  // other frame in flight (in_flight counts this one — it is already in
-  // the window), there is no burst to amortize. Staging would add a copy
-  // and defer the wire-out to the next flush point for nothing, so a
-  // latency-sensitive lone frame (the send4 ping-pong t0, a standalone
-  // ack, a solo retransmission) takes the single-shot path below instead.
-  // The first frame of a pipelined stream escapes the batch the same way;
-  // every subsequent one sees in_flight > 1 and stages.
-  if (tx_batch_on_ && (tx_staged_ > 0 || unacked() > 1)) {
+  // Latency bypass inside batched mode: a fresh windowed data frame with
+  // the staging ring empty and no other frame in flight (in_flight counts
+  // this one — it is already in the window) has no burst to amortize.
+  // Staging would add a copy and defer the wire-out to the next flush
+  // point for nothing, so the lone frame (the send4 ping-pong t0) takes
+  // the single-shot path below instead. The first frame of a pipelined
+  // stream escapes the batch the same way; every subsequent one sees
+  // in_flight > 1 and stages. Unwindowed frames (window_seq 0: acks,
+  // rejects, retransmissions, fault-injected copies) always stage: a pure
+  // receiver has nothing in flight, yet owes them in bursts. Each is pushed
+  // from inside extract() or drain(), which flush before they return, or is
+  // the fault-injected copy of an application send, which the next
+  // extract() or drain() flushes on entry.
+  if (tx_batch_on_ && (tx_staged_ > 0 || window_seq == 0 || unacked() > 1)) {
     // Batched mode: stage a copy and let the next flush point carry it out
     // with the rest of the burst (extract() entry/exit, a full ring, or
     // idle_pause — a frame is never parked on across a poll()).

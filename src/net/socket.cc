@@ -132,6 +132,7 @@ UdpSocket::BatchResult UdpSocket::send_batch(const TxFrame* frames,
                                              std::size_t n) {
   BatchResult r;
 #ifdef __linux__
+  bool retried_short = false;
   while (r.consumed < n) {
     if (debug_block_now()) {
       r.would_block = true;
@@ -170,10 +171,18 @@ UdpSocket::BatchResult UdpSocket::send_batch(const TxFrame* frames,
     r.sent += static_cast<std::size_t>(sent);
     debug_send_attempts_ += static_cast<std::uint64_t>(sent);
     if (static_cast<std::size_t>(sent) < vlen) {
-      // Short count: the kernel took a prefix and ran out of room.
-      r.would_block = true;
-      return r;
+      // Short count: the kernel took a prefix and stopped at a datagram it
+      // would not take, dropping the reason. Retry the tail once straight
+      // away: a hard error then comes back as -1 on that datagram (counted
+      // in errors above), while backpressure blocks or short-counts again.
+      if (retried_short) {
+        r.would_block = true;
+        return r;
+      }
+      retried_short = true;
+      continue;
     }
+    retried_short = false;
   }
 #else
   // Portable fallback: the same ownership contract, one syscall per frame.

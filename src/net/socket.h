@@ -112,7 +112,9 @@ class UdpSocket {
   /// Sends up to `n` datagrams with as few syscalls as possible (sendmmsg
   /// on Linux, a sendto loop elsewhere). Stops at the first transient
   /// backpressure signal or hard error; see BatchResult for the ownership
-  /// contract.
+  /// contract. sendmmsg reports a hard error after the first datagram only
+  /// as a short count, so a short count is retried once straight away: a
+  /// refused datagram then comes back in `errors`, not as `would_block`.
   FM_HOT_PATH BatchResult send_batch(const TxFrame* frames, std::size_t n);
 
   /// Sends `iovcnt` equal-size frames (`seg_len` bytes each; the LAST may

@@ -204,6 +204,25 @@ TEST(UdpSocketBatch, HardErrorIsTheLastDatagramConsumed) {
   ASSERT_EQ(got.size(), 4u);
   for (std::uint8_t i : {1, 2, 4, 5}) EXPECT_EQ(got.at(i), frames[i]);
   EXPECT_FALSE(rx_sock.wait_readable(50)) << "a duplicate datagram arrived";
+
+  // A refused datagram behind live ones: sendmmsg sends the live prefix
+  // and returns a short count with the error dropped. The retried tail
+  // surfaces it as a hard error in the same call. It must not read as
+  // backpressure: flush_tx_batch counts an ewouldblock_stall exactly when
+  // would_block is set, and stops flushing.
+  // live, live, refused
+  const UdpSocket::TxFrame tail[] = {tx[1], tx[2], tx[3]};
+  const UdpSocket::BatchResult r = tx_sock.send_batch(tail, 3);
+  EXPECT_EQ(r.consumed, 3u);
+  EXPECT_EQ(r.sent, 2u);
+  EXPECT_EQ(r.errors, 1u);
+  EXPECT_FALSE(r.would_block);
+#ifdef __linux__
+  EXPECT_EQ(r.syscalls, 2u) << "the short count should be retried once";
+#endif
+  const auto again = drain_frames(rx_sock, 2);
+  ASSERT_EQ(again.size(), 2u);
+  for (std::uint8_t i : {1, 2}) EXPECT_EQ(again.at(i), frames[i]);
 }
 
 TEST(UdpSocketBatch, ForcedGsoUnsupportedDisablesProbeAndGro) {
@@ -719,6 +738,75 @@ TEST(NetBatch, PackedBurstsSurviveBackpressureAndKernelDrops) {
   EXPECT_GT(r.sum_counter("kernel_drops"), 0.0)
       << "the tiny receive buffer should have forced real kernel drops";
 #endif
+}
+
+TEST(NetBatch, PureReceiverPacksItsRejectsAndAcks) {
+  // An incast: two senders pour eight-frame messages into rank 0, whose
+  // reassembly pool holds only a few, through a tiny receive buffer. Rank 0
+  // sends nothing of its own, so every frame it sends is a reject or a
+  // standalone ack — frames outside the send window. They stage and pack
+  // like data, several to a datagram, instead of one datagram each.
+  constexpr std::uint32_t kMsgs = 100;  // per sender
+  constexpr std::size_t kLen = 8 * kFmFramePayload - 24;  // eight frames
+  constexpr std::size_t kNodes = 3;
+  FmConfig cfg = testing::NetBackend::adapt(FmConfig());
+  cfg.reassembly_slots = 4;
+  cfg.retransmit_timeout_ns = 2'000'000;  // 2 ms
+  cfg.max_retries = 30;  // heavy loss must never read as a dead peer
+  // Above the backed-off retransmission horizon (see NetSoak).
+  cfg.reassembly_ttl_ns = 20'000'000'000ull;
+  NetConfig nc;
+  nc.tx_batch = 1;
+  nc.gso = 0;
+  nc.so_rcvbuf = 2048;  // the kernel clamps to its floor — still tiny
+  nc.run_timeout_ns = 90'000'000'000ull;
+  Cluster cluster(kNodes, cfg, nc);
+  std::map<std::pair<NodeId, std::uint32_t>, int> seen;
+  std::uint32_t got = 0;
+  HandlerId h = cluster.register_handler(
+      [&](Endpoint&, NodeId src, const void* data, std::size_t len) {
+        ASSERT_EQ(len, kLen);
+        std::uint32_t m;
+        std::memcpy(&m, data, 4);
+        ASSERT_LT(m, kMsgs);
+        const auto* p = static_cast<const std::uint8_t*>(data);
+        for (std::size_t i = 4; i < len; ++i)
+          ASSERT_EQ(p[i], static_cast<std::uint8_t>(src + m + i));
+        ++seen[{src, m}];
+        ++got;
+      });
+  RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
+    if (ep.id() != 0) {
+      std::vector<std::uint8_t> buf(kLen);
+      for (std::uint32_t m = 0; m < kMsgs; ++m) {
+        std::memcpy(buf.data(), &m, 4);
+        for (std::size_t i = 4; i < kLen; ++i)
+          buf[i] = static_cast<std::uint8_t>(ep.id() + m + i);
+        ASSERT_TRUE(ok(ep.send(0, h, buf.data(), kLen)));
+      }
+    } else {
+      ep.extract_until([&] { return got >= 2 * kMsgs; });
+      for (const auto& [key, count] : seen)
+        EXPECT_EQ(count, 1) << "src " << key.first << " tag " << key.second;
+      EXPECT_EQ(seen.size(), 2u * kMsgs);
+    }
+    ep.drain();
+    if (::testing::Test::HasFailure()) cluster.mark_child_failed();
+    fm::barrier_serviced(cluster, ep);
+  });
+  EXPECT_FALSE(r.timed_out);
+  for (const auto& rank : r.ranks) EXPECT_TRUE(rank.clean());
+  obs::Conservation k = r.conservation();
+  EXPECT_TRUE(k.balanced())
+      << "sent=" << k.sent << " delivered=" << k.delivered
+      << " abandoned=" << k.abandoned;
+  EXPECT_EQ(r.sum_counter("peers_dead"), 0.0);
+  EXPECT_EQ(r.sum_counter("messages_delivered"), 2.0 * kMsgs);
+  EXPECT_EQ(r.sum_counter("node0.messages_sent"), 0.0);
+  const double rejects = r.sum_counter("node0.rejects_issued");
+  const double acks = r.sum_counter("node0.acks_standalone");
+  EXPECT_GT(rejects, 0.0) << "the small reassembly pool should reject";
+  EXPECT_LT(r.sum_counter("node0.datagrams_tx"), rejects + acks);
 }
 
 TEST(NetBatch, BusyPollSpinCatchesALateArrival) {
