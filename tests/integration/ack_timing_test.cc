@@ -33,12 +33,8 @@ template <class Endpoint>
 double gauge(Endpoint& ep, const std::string& name) {
   obs::Registry& reg = ep.registry();
   reg.assert_owner();
-  const std::string dotted = "." + name;
   for (const obs::Sample& s : reg.snapshot())
-    if (s.name.size() > dotted.size() &&
-        s.name.compare(s.name.size() - dotted.size(), dotted.size(),
-                       dotted) == 0)
-      return s.value;
+    if (s.name == reg.scope() + "." + name) return s.value;
   ADD_FAILURE() << "no gauge " << name;
   return -1;
 }
