@@ -287,7 +287,8 @@ class ProtocolEngine {
   // Reject handling (both directions) only runs once a receive pool
   // overflowed — the §4.5 recovery path, kept off the hot closure.
   FM_COLD_PATH void park_reject(NodeId from, const FrameHeader& h,
-                                const std::uint8_t* data);
+                                const std::uint8_t* data,
+                                std::uint32_t bounces);
   FM_COLD_PATH void defer_reject(NodeId from, const FrameHeader& h,
                                  const std::uint8_t* data);
   FM_HOT_PATH void drain_posted();
@@ -681,14 +682,14 @@ std::size_t ProtocolEngine<Transport>::extract() {
     // fresh fragment may be the one that completes an admitted reassembly
     // at the rejecting peer, unwedging everyone bouncing off that slot.
     if (window_.space() <= (send_blocked_spin_ ? 1u : 0u)) {
-      rejq_.add(entry.dest, entry.seq, std::move(entry.bytes));
+      rejq_.add(entry.dest, entry.seq, std::move(entry.bytes), entry.bounces);
       continue;
     }
     ++stats_.retransmissions;
     if (trace_.enabled())
       trace_.event(now_ns(), cat_retransmit_, 'i', entry.dest, entry.seq);
     window_.track(entry.dest, entry.seq, entry.bytes.data(),
-                  entry.bytes.size());
+                  entry.bytes.size(), entry.bounces);
     if (cfg_.reliability) timer_.arm(entry.dest, entry.seq, now_ns());
     inject(entry.dest, entry.bytes.data(), entry.bytes.size());
   }
@@ -923,8 +924,7 @@ bool ProtocolEngine<Transport>::process_frame(NodeId from,
       // peers (two senders bouncing off each other's full receive pools
       // would deadlock waiting for window space).
       if (cfg_.reliability) timer_.disarm(from, h.seq);
-      park_reject(from, h, data);
-      window_.bounce(from, h.seq);
+      park_reject(from, h, data, window_.bounce(from, h.seq));
       break;
     }
     case FrameType::kData: {
@@ -1034,7 +1034,8 @@ void ProtocolEngine<Transport>::send_standalone_ack(NodeId peer) {
 
 template <typename Transport>
 void ProtocolEngine<Transport>::park_reject(NodeId from, const FrameHeader& h,
-                                            const std::uint8_t* data) {
+                                            const std::uint8_t* data,
+                                            std::uint32_t bounces) {
   // One of our data frames bounced: park a cleaned copy (type restored,
   // stale piggybacked acks stripped) for backoff retransmission. Cold by
   // definition — a reject means a receive pool overflowed somewhere.
@@ -1043,7 +1044,8 @@ void ProtocolEngine<Transport>::park_reject(NodeId from, const FrameHeader& h,
   clean.ack_count = 0;
   // clean inherits the CRC flag, so encode_frame recomputes a valid
   // trailer over the cleaned frame.
-  rejq_.add(from, h.seq, encode_frame(clean, frame_payload(h, data), nullptr));
+  rejq_.add(from, h.seq, encode_frame(clean, frame_payload(h, data), nullptr),
+            bounces);
 }
 
 template <typename Transport>

@@ -109,6 +109,7 @@ class SendWindow {
     m.dest = dest;
     m.seq = seq;
     m.len = 0;
+    m.bounces = 0;
     m.live_idx = static_cast<std::uint32_t>(live_.size());
     // fm-lint: allow(hotpath-alloc): capacity reserved at construction; the
     // live list can never outgrow the slab it indexes.
@@ -129,11 +130,13 @@ class SendWindow {
 
   /// Records an injected frame by copying it into the slab (cold-path
   /// convenience; hot paths serialize in place via reserve/commit).
+  /// `bounces` carries a reject retry's bounce count (see bounce()).
   FM_COLD_PATH void track(NodeId dest, std::uint32_t seq, const void* bytes,
-                          std::size_t len) {
+                          std::size_t len, std::uint32_t bounces = 0) {
     FM_CHECK_MSG(len <= slot_bytes_, "frame exceeds window slot");
     std::uint8_t* dst = reserve(dest, seq);
     if (len != 0) std::memcpy(dst, bytes, len);
+    meta_[reserved_].bounces = bounces;
     commit(len);
   }
 
@@ -153,9 +156,16 @@ class SendWindow {
   /// fragments bound for *other* peers, and two senders doing that to each
   /// other deadlock (each waits for window space only the other's rejected
   /// retries could free). Re-injection re-reserves a slot so FM-R timeout
-  /// retransmission can still re-source the retry.
-  FM_COLD_PATH bool bounce(NodeId dest, std::uint32_t seq) {
-    return ack(dest, seq);
+  /// retransmission can still re-source the retry. Returns how many times
+  /// the frame has now bounced, counting this one and those recorded by
+  /// track(), or 0 for an unknown seq (its copy already bounced or was
+  /// acked).
+  FM_COLD_PATH std::uint32_t bounce(NodeId dest, std::uint32_t seq) {
+    const std::uint32_t s = find_slot(dest, seq);
+    if (s == kNone) return 0;
+    const std::uint32_t bounces = meta_[s].bounces + 1;
+    release(s);
+    return bounces;
   }
 
   /// Looks up the retained copy of (`dest`, `seq`) for retransmission
@@ -188,6 +198,7 @@ class SendWindow {
     std::uint32_t seq = 0;
     std::uint32_t len = 0;
     std::uint32_t live_idx = 0;
+    std::uint32_t bounces = 0;  // reject round trips this frame has made
   };
 
   // (dest, seq) -> slot map: fixed-size open addressing with linear probing
@@ -779,24 +790,35 @@ class Reassembler {
 };
 
 /// Host reject queue (Figure 6): returned frames parked for retransmission
-/// with a cheap extract-count backoff.
+/// with a cheap extract-count backoff. The backoff doubles with each bounce
+/// of the same frame: a receiver whose pool stays full for many round trips
+/// would otherwise see every parked frame again every few extract passes,
+/// and a return path that delivers the rejects (packed, on the net path)
+/// only speeds that storm up.
 class RejectQueue {
  public:
+  /// Doublings of the base delay at most: a frame that bounced more than
+  /// kMaxBackoffShift + 1 times waits `delay << kMaxBackoffShift` ticks.
+  static constexpr std::uint32_t kMaxBackoffShift = 6;
+
   struct Entry {
     NodeId dest;
     std::uint32_t seq;
     std::vector<std::uint8_t> bytes;
     std::size_t age = 0;
+    std::uint32_t bounces = 0;  ///< 0 or 1: the base delay; n: 2^(n-1) times
   };
 
-  /// Parks a returned frame. A (dest, seq) already parked is ignored: with
+  /// Parks a returned frame that has bounced `bounces` times (see
+  /// SendWindow::bounce). A (dest, seq) already parked is ignored: with
   /// FM-R a timeout retransmission and its original can both bounce off an
   /// overloaded receiver, and parking both would retransmit twice forever.
   FM_COLD_PATH void add(NodeId dest, std::uint32_t seq,
-                        std::vector<std::uint8_t> bytes) {
+                        std::vector<std::uint8_t> bytes,
+                        std::uint32_t bounces = 0) {
     for (const auto& e : entries_)
       if (e.dest == dest && e.seq == seq) return;
-    entries_.push_back(Entry{dest, seq, std::move(bytes), 0});
+    entries_.push_back(Entry{dest, seq, std::move(bytes), 0, bounces});
   }
 
   /// Discards every parked frame aimed at `dest` (dead-peer cleanup).
@@ -815,7 +837,8 @@ class RejectQueue {
   }
 
   /// Ages all entries by one extract tick and removes/returns those whose
-  /// age reached `delay`.
+  /// age reached their backoff: `delay` after the first bounce, doubling
+  /// with each further one.
   FM_HOT_PATH std::vector<Entry> tick(std::size_t delay) {
     // Called every extract(); an empty queue returns an empty vector, which
     // never touches the heap — entries exist only after a reject bounced.
@@ -823,7 +846,9 @@ class RejectQueue {
     for (auto& e : entries_) ++e.age;
     auto it = entries_.begin();
     while (it != entries_.end()) {
-      if (it->age >= delay) {
+      const std::uint32_t shift =
+          std::min(it->bounces > 0 ? it->bounces - 1 : 0, kMaxBackoffShift);
+      if (it->age >= delay << shift) {
         // fm-lint: allow(hotpath-alloc): a due reject is the recovery path;
         // the steady state never reaches this branch.
         ready.push_back(std::move(*it));

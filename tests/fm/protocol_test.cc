@@ -29,6 +29,22 @@ TEST(SendWindow, TracksAndAcks) {
   EXPECT_EQ(w.find(1, s1).data, nullptr);
 }
 
+TEST(SendWindow, BounceCountsRoundTripsThroughTrack) {
+  SendWindow w(4);
+  const std::uint8_t frame[2] = {7, 8};
+  w.track(1, 5, frame, sizeof frame);
+  EXPECT_EQ(w.bounce(1, 5), 1u);
+  EXPECT_EQ(w.in_flight(), 0u);
+  EXPECT_EQ(w.bounce(1, 5), 0u) << "an unknown seq has no count";
+  w.track(1, 5, frame, sizeof frame, 1);  // the retry keeps its count
+  EXPECT_EQ(w.bounce(1, 5), 2u);
+  w.track(1, 5, frame, sizeof frame, 2);
+  EXPECT_TRUE(w.ack(1, 5));
+  // A fresh frame in the recycled slot starts from zero.
+  w.track(1, 6, frame, sizeof frame);
+  EXPECT_EQ(w.bounce(1, 6), 1u);
+}
+
 TEST(SendWindow, PerDestinationSequencesAreDense) {
   SendWindow w(8);
   EXPECT_EQ(w.next_seq(5), 1u);
@@ -370,6 +386,50 @@ TEST(RejectQueue, ImmediateRetryWithDelayOne) {
   auto ready = q.tick(1);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0].dest, 3u);
+}
+
+TEST(RejectQueue, BackoffDoublesWithEachBounceUpToTheCap) {
+  // A frame that has bounced n times waits delay << (n - 1) ticks, capped.
+  constexpr std::size_t kDelay = 2;
+  for (std::uint32_t bounces = 0; bounces <= RejectQueue::kMaxBackoffShift + 3;
+       ++bounces) {
+    RejectQueue q;
+    q.add(1, 100, {1}, bounces);
+    const std::uint32_t shift = std::min<std::uint32_t>(
+        bounces > 0 ? bounces - 1 : 0, RejectQueue::kMaxBackoffShift);
+    const std::size_t wait = kDelay << shift;
+    for (std::size_t t = 1; t < wait; ++t)
+      ASSERT_TRUE(q.tick(kDelay).empty()) << "bounces " << bounces;
+    auto ready = q.tick(kDelay);
+    ASSERT_EQ(ready.size(), 1u) << "bounces " << bounces;
+    EXPECT_EQ(ready[0].bounces, bounces);
+  }
+}
+
+TEST(RejectQueue, ABouncingFrameRetriesLogarithmicallyNotEveryFewTicks) {
+  // A receiver that rejects every retry for 10,000 extract ticks: the bounce
+  // count travels frame -> reject queue -> send window -> next bounce, so
+  // the retries thin out instead of coming every `delay` ticks (5,000
+  // retries at delay 2 without the doubling).
+  constexpr std::size_t kDelay = 2;
+  constexpr std::size_t kTicks = 10'000;
+  SendWindow w(4);
+  RejectQueue q;
+  const std::uint32_t seq = w.next_seq(1);
+  const std::uint8_t frame[3] = {1, 2, 3};
+  w.track(1, seq, frame, sizeof frame);
+  q.add(1, seq, {1, 2, 3}, w.bounce(1, seq));
+  std::size_t retries = 0;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    for (auto& e : q.tick(kDelay)) {
+      ++retries;
+      w.track(e.dest, e.seq, e.bytes.data(), e.bytes.size(), e.bounces);
+      q.add(e.dest, e.seq, std::move(e.bytes), w.bounce(e.dest, e.seq));
+    }
+  }
+  const std::size_t cap_wait = kDelay << RejectQueue::kMaxBackoffShift;
+  EXPECT_LE(retries, RejectQueue::kMaxBackoffShift + kTicks / cap_wait + 1);
+  EXPECT_GE(retries, kTicks / cap_wait);
 }
 
 }  // namespace
