@@ -10,8 +10,9 @@ i runs both sides back to back with the same seed; odd pairs run the change
 first, even pairs the base, so slow drift on the host lands on both sides
 alike. For every end-to-end metric it prints each
 side's median and quartiles and how many pairs the change won, and it
-reports every failed op and every run that printed no result: a faster run
-that got answers wrong is not faster. With --claim, the last line says
+reports every failed op, every run that fmbench marked incorrect and every
+run that printed no result: a faster run that got answers wrong is not
+faster. With --claim, the last line says
 whether the change won at least 9 pairs in 10 and moved the median by more
 than the base's interquartile range. It writes nothing under fmbench/.
 """
@@ -44,7 +45,7 @@ def run(tree, args, seed):
     """One run of tree's fmbench/run.py; its result object, or None."""
     cmd = [sys.executable, os.path.join(tree, "fmbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seconds", str(args.seconds), "--trace", "0"]
     try:
         p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                            timeout=RUN_TIMEOUT_S)
@@ -57,6 +58,13 @@ def run(tree, args, seed):
         log(p.stderr[-2000:])
         return None
     return json.loads(lines[-1])
+
+
+def usable(r):
+    """A run that printed a result and that fmbench judged correct: its
+    `correct` is also false when a rank exited uncleanly with no failed op
+    counted."""
+    return r is not None and r["correct"]
 
 
 def quantile(xs, q):
@@ -82,7 +90,6 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=6)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--claim", help="metric the change claims to improve")
     args = ap.parse_args()
     trees = {"base": os.path.abspath(args.base),
@@ -106,7 +113,7 @@ def main():
         name, higher = m["name"], m["better"] == "higher"
         pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
                  for b, c in zip(results["base"], results["change"])
-                 if b is not None and c is not None
+                 if usable(b) and usable(c)
                  and name in b["metrics"] and name in c["metrics"]]
         if not pairs:
             continue
@@ -126,13 +133,14 @@ def main():
         rs = results[side]
         missing = sum(1 for r in rs if r is None)
         failed = sum(r["failed"] for r in rs if r is not None)
+        incorrect = sum(1 for r in rs if r is not None and not usable(r))
         summary[side + "_failed_ops"] = failed
+        summary[side + "_incorrect_runs"] = incorrect
         summary[side + "_missing_runs"] = missing
-        print("%s: %d failed ops, %d runs without a result" %
-              (side, failed, missing))
-    ok = all(summary[k] == 0 for k in ("base_failed_ops", "change_failed_ops",
-                                       "base_missing_runs",
-                                       "change_missing_runs"))
+        print("%s: %d failed ops, %d incorrect runs, %d runs without a "
+              "result" % (side, failed, incorrect, missing))
+    ok = all(summary[side + k] == 0 for side in ("base", "change")
+             for k in ("_failed_ops", "_incorrect_runs", "_missing_runs"))
     if args.claim:
         row = summary["metrics"].get(args.claim)
         if row is None:
@@ -144,7 +152,9 @@ def main():
             higher = next(m["better"] == "higher" for m in metrics
                           if m["name"] == args.claim)
             better = (row["change"][1] > row["base"][1]) == higher
-            holds = (better and delta > iqr and
+            # A pair with an incorrect or missing run is left out of the
+            # table, and the claim cannot hold over it.
+            holds = (ok and better and delta > iqr and
                      row["won"] * 10 >= 9 * row["n"])
             summary["claim"] = {"metric": args.claim, "holds": holds,
                                 "median_delta": delta, "base_iqr": iqr}
